@@ -3,24 +3,36 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfa_bench::bench_weblog;
+use sfa_hash::PairShard;
 use sfa_lsh::{
     hlsh_candidates, mlsh_candidates, optimize_params, HLshParams, MLshParams,
     SimilarityDistribution,
 };
 use sfa_matrix::MemoryRowStream;
 use sfa_minhash::compute_signatures;
+use sfa_par::ThreadPool;
 
 fn lsh(c: &mut Criterion) {
     let (data, rows) = bench_weblog();
     let sigs = compute_signatures(&mut MemoryRowStream::new(&rows), 100, 7).unwrap();
+    let pool = ThreadPool::new(1);
+    let all = PairShard::all();
 
     let mut group = c.benchmark_group("lsh");
     group.sample_size(20);
     group.bench_function("mlsh_banded_r5_l20", |b| {
-        b.iter(|| mlsh_candidates(&sigs, &MLshParams::banded(5, 20, 3)));
+        b.iter(|| mlsh_candidates(&sigs, &MLshParams::banded(5, 20, 3), all, usize::MAX, &pool));
     });
     group.bench_function("mlsh_sampled_r5_l20", |b| {
-        b.iter(|| mlsh_candidates(&sigs, &MLshParams::sampled(5, 20, 3)));
+        b.iter(|| {
+            mlsh_candidates(
+                &sigs,
+                &MLshParams::sampled(5, 20, 3),
+                all,
+                usize::MAX,
+                &pool,
+            )
+        });
     });
     for &levels in &[4usize, 8, 16] {
         group.bench_with_input(
@@ -35,7 +47,7 @@ fn lsh(c: &mut Criterion) {
                     include_zero_keys: false,
                     seed: 5,
                 };
-                b.iter(|| hlsh_candidates(&rows, &params));
+                b.iter(|| hlsh_candidates(&rows, &params, all, usize::MAX, &pool));
             },
         );
     }
@@ -49,7 +61,7 @@ fn lsh(c: &mut Criterion) {
                 include_zero_keys: false,
                 seed: 5,
             };
-            b.iter(|| hlsh_candidates(&rows, &params));
+            b.iter(|| hlsh_candidates(&rows, &params, all, usize::MAX, &pool));
         });
     }
     let distr = SimilarityDistribution::from_matrix(&data.matrix, 20);

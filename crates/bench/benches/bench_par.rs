@@ -1,4 +1,4 @@
-//! Parallel execution layer: sharded counter merge and every pool-based
+//! Parallel execution layer: sharded counter merge and every scheme's
 //! phase-2 generator at 1, 2, and 4 workers.
 //!
 //! On a single-core host the multi-worker points measure scheduling
@@ -7,13 +7,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfa_bench::bench_weblog;
-use sfa_hash::bucket::{merge_sharded, CounterTable, ShardedPairCounter};
-use sfa_lsh::{
-    hlsh_candidates_with_stats_pool, mlsh_candidates_with_stats_pool, HLshParams, MLshParams,
-};
+use sfa_hash::bucket::{merge_sharded, CounterTable, PairShard, ShardedPairCounter};
+use sfa_lsh::{hlsh_candidates, mlsh_candidates, HLshParams, MLshParams};
 use sfa_matrix::MemoryRowStream;
-use sfa_minhash::hashcount::{kmh_candidates_with_stats_pool, mh_candidates_with_stats_pool};
-use sfa_minhash::rowsort::rowsort_candidates_with_stats_pool;
+use sfa_minhash::hashcount::{kmh_candidates, mh_candidates};
+use sfa_minhash::rowsort::rowsort_candidates;
 use sfa_minhash::{compute_bottom_k, compute_signatures};
 use sfa_par::ThreadPool;
 
@@ -75,33 +73,34 @@ fn parallel_generators(c: &mut Criterion) {
     let ksigs = compute_bottom_k(&mut MemoryRowStream::new(&rows), 64, 7).unwrap();
     let mlsh = MLshParams::banded(5, 20, 7);
     let hlsh = HLshParams::new(8, 8, 7);
+    let all = PairShard::all();
 
     let mut group = c.benchmark_group("par_candidates");
     group.sample_size(10);
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::new(threads);
         group.bench_with_input(BenchmarkId::new("mh_k100", threads), &pool, |b, pool| {
-            b.iter(|| mh_candidates_with_stats_pool(&sigs, 0.5, 0.2, pool));
+            b.iter(|| mh_candidates(&sigs, 0.5, 0.2, all, usize::MAX, pool));
         });
         group.bench_with_input(
             BenchmarkId::new("rowsort_k100", threads),
             &pool,
             |b, pool| {
-                b.iter(|| rowsort_candidates_with_stats_pool(&sigs, 0.5, 0.2, pool));
+                b.iter(|| rowsort_candidates(&sigs, 0.5, 0.2, all, usize::MAX, pool));
             },
         );
         group.bench_with_input(BenchmarkId::new("kmh_k64", threads), &pool, |b, pool| {
-            b.iter(|| kmh_candidates_with_stats_pool(&ksigs, 0.5, 0.2, pool));
+            b.iter(|| kmh_candidates(&ksigs, 0.5, 0.2, all, usize::MAX, pool));
         });
         group.bench_with_input(
             BenchmarkId::new("mlsh_r5_l20", threads),
             &pool,
             |b, pool| {
-                b.iter(|| mlsh_candidates_with_stats_pool(&sigs, &mlsh, pool));
+                b.iter(|| mlsh_candidates(&sigs, &mlsh, all, usize::MAX, pool));
             },
         );
         group.bench_with_input(BenchmarkId::new("hlsh_r8_l8", threads), &pool, |b, pool| {
-            b.iter(|| hlsh_candidates_with_stats_pool(&rows, &hlsh, pool));
+            b.iter(|| hlsh_candidates(&rows, &hlsh, all, usize::MAX, pool));
         });
     }
     group.finish();

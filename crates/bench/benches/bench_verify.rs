@@ -1,11 +1,12 @@
-//! Phase-3 verification ablation: sequential single-pass vs parallel vs
-//! bounded-memory chunked passes.
+//! Phase-3 verification ablation: the sequential single-pass row scan vs
+//! the in-memory container verifier at 1, 2 and 4 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfa_bench::bench_weblog;
-use sfa_core::verify::{verify_candidates, verify_candidates_chunked, verify_candidates_parallel};
+use sfa_core::verify::{verify_candidates, verify_candidates_in_memory_pool_with_report};
 use sfa_core::{Pipeline, PipelineConfig, Scheme};
 use sfa_matrix::MemoryRowStream;
+use sfa_par::ThreadPool;
 
 fn verification(c: &mut Criterion) {
     let (_, rows) = bench_weblog();
@@ -29,21 +30,11 @@ fn verification(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| verify_candidates(&mut MemoryRowStream::new(&rows), &candidates).unwrap());
     });
-    for &threads in &[2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| verify_candidates_parallel(&rows, &candidates, threads));
-            },
-        );
-    }
-    for &chunk in &[64usize, 512] {
-        group.bench_with_input(BenchmarkId::new("chunked", chunk), &chunk, |b, &chunk| {
-            b.iter(|| {
-                verify_candidates_chunked(&mut MemoryRowStream::new(&rows), &candidates, chunk)
-                    .unwrap()
-            });
+    let columns = rows.transpose();
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
+        group.bench_with_input(BenchmarkId::new("in_memory", threads), &pool, |b, pool| {
+            b.iter(|| verify_candidates_in_memory_pool_with_report(&columns, &candidates, pool));
         });
     }
     group.finish();

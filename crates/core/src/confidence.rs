@@ -13,6 +13,7 @@
 //! `S` lower-bounds both confidences, and `conf(c_i ⇒ c_j) ≈ 1` forces
 //! `S ≈ |C_i| / |C_j|`.
 
+use sfa_hash::PairShard;
 use sfa_matrix::{Result, RowStream};
 use sfa_minhash::hashcount::mh_agreement_counts;
 use sfa_minhash::{CandidatePair, SignatureMatrix, EMPTY_SIGNATURE};
@@ -81,9 +82,10 @@ pub fn confidence_candidates(
     conf_threshold: f64,
     delta: f64,
 ) -> Vec<CandidatePair> {
-    let counts = mh_agreement_counts(sigs);
+    let pool = sfa_par::ThreadPool::new(1);
+    let counts = mh_agreement_counts(sigs, PairShard::all(), usize::MAX, &pool);
     let mut out = Vec::new();
-    for (i, j, agree) in counts.iter() {
+    for (i, j, agree) in counts.counter.iter() {
         let s_hat = f64::from(agree) / sigs.k() as f64;
         let (ci, cj) = (column_counts[i as usize], column_counts[j as usize]);
         if ci == 0 || cj == 0 {

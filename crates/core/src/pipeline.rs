@@ -1,26 +1,19 @@
 //! The pipeline driver: signatures → candidates → exact verification.
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use sfa_hash::bucket::PairShard;
-use sfa_lsh::{
-    hlsh_candidates_sharded, hlsh_candidates_with_stats, hlsh_candidates_with_stats_pool,
-    mlsh_candidates_sharded, mlsh_candidates_with_stats, mlsh_candidates_with_stats_pool,
-    HLshParams, MLshParams,
-};
-use sfa_matrix::{MatrixError, Result, RowMajorMatrix, RowStream, ScanCounter};
-use sfa_minhash::hashcount::{
-    kmh_candidates_sharded, kmh_candidates_with_stats, kmh_candidates_with_stats_pool,
-    mh_candidates_sharded, mh_candidates_with_stats, mh_candidates_with_stats_pool,
-};
-use sfa_minhash::rowsort::{
-    rowsort_candidates_sharded, rowsort_candidates_with_stats, rowsort_candidates_with_stats_pool,
-};
+use sfa_hash::bucket::{PairShard, ShardPassOutcome};
+use sfa_lsh::{hlsh_candidates, mlsh_candidates, HLshParams, MLshParams};
+use sfa_matrix::{MatrixError, MemoryRowStream, Result, RowMajorMatrix, RowStream, ScanCounter};
+use sfa_minhash::hashcount::{kmh_candidates, mh_candidates};
+use sfa_minhash::rowsort::rowsort_candidates;
 use sfa_minhash::{
     compute_bottom_k, compute_bottom_k_pool, compute_signatures, compute_signatures_pool,
     BottomKSignatures, CandidateGenStats, CandidatePair, KmhBuilder, MhBuilder, SignatureMatrix,
 };
+use sfa_par::ThreadPool;
 
 use crate::checkpoint::{self, CheckpointSpec, Phase1State, RunKey};
 use crate::config::{PipelineConfig, Scheme};
@@ -115,94 +108,141 @@ impl Pipeline {
         &self,
         stream: &mut S,
     ) -> Result<(Vec<CandidatePair>, PhaseTimings)> {
-        let (candidates, timings, _) = self.candidates_with_metrics(stream)?;
+        let (candidates, timings, _) =
+            self.candidates_with_metrics(Table::Stream(stream), &ThreadPool::new(1))?;
         Ok((candidates, timings))
     }
 
-    /// Phases 1 + 2 with the observability counters: signature bytes,
-    /// per-stage candidate counts, bucket occupancy. The pass-scan fields
-    /// stay zero here — [`run`](Self::run) fills them from its
-    /// [`ScanCounter`] wrapper.
+    /// Phases 1 + 2 of every unsharded run mode, with the observability
+    /// counters: signature bytes, phase-1 provenance, per-stage candidate
+    /// counts, bucket occupancy. The pass-scan fields stay zero here —
+    /// each run mode fills them from its own scan accounting.
     fn candidates_with_metrics<S: RowStream>(
         &self,
-        stream: &mut S,
+        table: Table<'_, '_, S>,
+        pool: &ThreadPool,
     ) -> Result<(Vec<CandidatePair>, PhaseTimings, MiningMetrics)> {
-        let cfg = &self.config;
-        let sig_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::SIGNATURES);
-        let lsh_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::LSH);
         let mut timings = PhaseTimings::default();
         let mut metrics = MiningMetrics {
-            scheme: cfg.scheme.name().to_owned(),
+            scheme: self.config.scheme.name().to_owned(),
             ..MiningMetrics::default()
         };
-        let candidates = match cfg.scheme {
-            Scheme::Mh { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_phase1(stream, k, sig_seed)?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = mh_candidates_with_stats(&sigs, cfg.s_star, delta);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
+        let t = Instant::now();
+        let (summary, phase1) = self.phase1(table)?;
+        timings.signatures = t.elapsed();
+        metrics.phase1 = phase1;
+        metrics.signature_bytes = summary.heap_bytes();
+        let t = Instant::now();
+        let (candidates, stats, _) = self.generate(&summary, PairShard::all(), usize::MAX, pool);
+        timings.candidates = t.elapsed();
+        metrics.absorb_candidate_stats(stats);
+        metrics.candidates_generated = candidates.len() as u64;
+        Ok((candidates, timings, metrics))
+    }
+
+    /// Phase 1 of every run mode: the scheme's resident summary of
+    /// `table`. MH-family sketches go through the signature cache — a hit
+    /// skips the table pass (and its checkpointing) entirely, a miss
+    /// computes and stores. H-LSH "works directly on the data": `M_0` is
+    /// the summary, with no sketch to cache, checkpoint or report in
+    /// `metrics.phase1`.
+    fn phase1<'m, S: RowStream>(
+        &self,
+        table: Table<'_, 'm, S>,
+    ) -> Result<(Phase1Summary<'m>, Option<Phase1Metrics>)> {
+        let seed = sfa_hash::family::derive_seed(self.config.seed, purpose::SIGNATURES);
+        let (n_rows, n_cols) = table.dims();
+        let cache = self.signature_cache.as_ref();
+        match self.config.scheme {
+            Scheme::Mh { k, .. } | Scheme::MhRowSort { k, .. } | Scheme::MLsh { k, .. } => {
+                if let Some(sigs) = cache.and_then(|c| c.load_signatures(k, seed, n_rows, n_cols)) {
+                    return Ok((
+                        Phase1Summary::Sigs(sigs),
+                        Some(phase1_provenance(true, false)),
+                    ));
+                }
+                let sigs = match table {
+                    Table::Stream(stream) => compute_signatures(stream, k, seed)?,
+                    Table::Resumable(stream, ckpt) => signatures_resumable(stream, k, seed, ckpt)?,
+                    Table::Resident(matrix, pool) => compute_signatures_pool(matrix, k, seed, pool),
+                };
+                let stored =
+                    cache.is_some_and(|c| c.store_signatures(k, seed, n_rows, n_cols, &sigs));
+                Ok((
+                    Phase1Summary::Sigs(sigs),
+                    Some(phase1_provenance(false, stored)),
+                ))
             }
-            Scheme::MhRowSort { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_phase1(stream, k, sig_seed)?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = rowsort_candidates_with_stats(&sigs, cfg.s_star, delta);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
+            Scheme::Kmh { k, .. } => {
+                if let Some(sigs) = cache.and_then(|c| c.load_bottom_k(k, seed, n_rows, n_cols)) {
+                    return Ok((
+                        Phase1Summary::BottomK(sigs),
+                        Some(phase1_provenance(true, false)),
+                    ));
+                }
+                let sigs = match table {
+                    Table::Stream(stream) => compute_bottom_k(stream, k, seed)?,
+                    Table::Resumable(stream, ckpt) => bottom_k_resumable(stream, k, seed, ckpt)?,
+                    Table::Resident(matrix, pool) => compute_bottom_k_pool(matrix, k, seed, pool),
+                };
+                let stored =
+                    cache.is_some_and(|c| c.store_bottom_k(k, seed, n_rows, n_cols, &sigs));
+                Ok((
+                    Phase1Summary::BottomK(sigs),
+                    Some(phase1_provenance(false, stored)),
+                ))
             }
-            Scheme::Kmh { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.bottom_k_phase1(stream, k, sig_seed)?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = kmh_candidates_with_stats(&sigs, cfg.s_star, delta);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
+            Scheme::HLsh { .. } => {
+                let matrix = match table {
+                    Table::Stream(stream) | Table::Resumable(stream, _) => {
+                        Cow::Owned(materialize(stream)?)
+                    }
+                    Table::Resident(matrix, _) => Cow::Borrowed(matrix),
+                };
+                Ok((Phase1Summary::Matrix(matrix), None))
             }
-            Scheme::MLsh { k, r, l, sampled } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_phase1(stream, k, sig_seed)?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
+        }
+    }
+
+    /// Phase 2 of every run mode: one generation pass of the configured
+    /// scheme over `summary`, counting only `shard`'s pairs with the pair
+    /// counter capped at `cap_bytes` (see [`sfa_hash::count_pairs`]).
+    fn generate(
+        &self,
+        summary: &Phase1Summary<'_>,
+        shard: PairShard,
+        cap_bytes: usize,
+        pool: &ThreadPool,
+    ) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
+        let cfg = &self.config;
+        let lsh_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::LSH);
+        match (cfg.scheme, summary) {
+            (Scheme::Mh { delta, .. }, Phase1Summary::Sigs(sigs)) => {
+                mh_candidates(sigs, cfg.s_star, delta, shard, cap_bytes, pool)
+            }
+            (Scheme::MhRowSort { delta, .. }, Phase1Summary::Sigs(sigs)) => {
+                rowsort_candidates(sigs, cfg.s_star, delta, shard, cap_bytes, pool)
+            }
+            (Scheme::Kmh { delta, .. }, Phase1Summary::BottomK(sigs)) => {
+                kmh_candidates(sigs, cfg.s_star, delta, shard, cap_bytes, pool)
+            }
+            (Scheme::MLsh { r, l, sampled, .. }, Phase1Summary::Sigs(sigs)) => {
                 let params = if sampled {
                     MLshParams::sampled(r, l, lsh_seed)
                 } else {
                     MLshParams::banded(r, l, lsh_seed)
                 };
-                let (cands, stats) = mlsh_candidates_with_stats(&sigs, &params);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
+                mlsh_candidates(sigs, &params, shard, cap_bytes, pool)
             }
-            Scheme::HLsh {
-                r,
-                l,
-                t: gate,
-                max_levels,
-            } => {
-                // H-LSH "works directly on the data": materialize M_0 from
-                // the stream (phase 1), then ladder + runs (phase 2).
-                // No sketch is built, so `metrics.phase1` stays None.
-                let t = Instant::now();
-                let matrix = materialize(stream)?;
-                timings.signatures = t.elapsed();
-                metrics.signature_bytes = matrix.heap_bytes();
-                let t = Instant::now();
+            (
+                Scheme::HLsh {
+                    r,
+                    l,
+                    t: gate,
+                    max_levels,
+                },
+                Phase1Summary::Matrix(matrix),
+            ) => {
                 let params = HLshParams {
                     r,
                     l,
@@ -211,107 +251,10 @@ impl Pipeline {
                     include_zero_keys: false,
                     seed: lsh_seed,
                 };
-                let (cands, stats) = hlsh_candidates_with_stats(&matrix, &params);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
+                hlsh_candidates(matrix, &params, shard, cap_bytes, pool)
             }
-        };
-        metrics.candidates_generated = candidates.len() as u64;
-        Ok((candidates, timings, metrics))
-    }
-
-    /// Phase 1 (MH family) through the signature cache: a hit skips the
-    /// table pass entirely, a miss computes and stores. Without a cache,
-    /// just the pass.
-    fn signatures_phase1<S: RowStream>(
-        &self,
-        stream: &mut S,
-        k: usize,
-        seed: u64,
-    ) -> Result<(SignatureMatrix, Phase1Metrics)> {
-        if let Some(cache) = &self.signature_cache {
-            if let Some(sigs) = cache.load_signatures(k, seed, stream.n_rows(), stream.n_cols()) {
-                return Ok((sigs, phase1_provenance(true, false)));
-            }
-            let sigs = compute_signatures(stream, k, seed)?;
-            let stored = cache.store_signatures(k, seed, stream.n_rows(), stream.n_cols(), &sigs);
-            return Ok((sigs, phase1_provenance(false, stored)));
+            _ => unreachable!("summary kind always matches the scheme"),
         }
-        let sigs = compute_signatures(stream, k, seed)?;
-        Ok((sigs, phase1_provenance(false, false)))
-    }
-
-    /// Phase 1 (K-MH) through the signature cache; see
-    /// [`signatures_phase1`](Self::signatures_phase1).
-    fn bottom_k_phase1<S: RowStream>(
-        &self,
-        stream: &mut S,
-        k: usize,
-        seed: u64,
-    ) -> Result<(BottomKSignatures, Phase1Metrics)> {
-        if let Some(cache) = &self.signature_cache {
-            if let Some(sigs) = cache.load_bottom_k(k, seed, stream.n_rows(), stream.n_cols()) {
-                return Ok((sigs, phase1_provenance(true, false)));
-            }
-            let sigs = compute_bottom_k(stream, k, seed)?;
-            let stored = cache.store_bottom_k(k, seed, stream.n_rows(), stream.n_cols(), &sigs);
-            return Ok((sigs, phase1_provenance(false, stored)));
-        }
-        let sigs = compute_bottom_k(stream, k, seed)?;
-        Ok((sigs, phase1_provenance(false, false)))
-    }
-
-    /// [`signatures_resumable`] behind the signature cache: a hit skips
-    /// both the pass and its checkpointing (there is no partial state to
-    /// persist when no rows are processed); a miss runs the resumable
-    /// pass, then stores the completed sketch.
-    #[allow(clippy::too_many_arguments)]
-    fn signatures_resumable_cached<S: RowStream>(
-        &self,
-        stream: &mut S,
-        k: usize,
-        seed: u64,
-        spec: &CheckpointSpec,
-        key: RunKey,
-        recovery: &mut RecoveryMetrics,
-        cancel: &CancelToken,
-    ) -> Result<(SignatureMatrix, Phase1Metrics)> {
-        if let Some(cache) = &self.signature_cache {
-            if let Some(sigs) = cache.load_signatures(k, seed, stream.n_rows(), stream.n_cols()) {
-                return Ok((sigs, phase1_provenance(true, false)));
-            }
-        }
-        let sigs = signatures_resumable(stream, k, seed, spec, key, recovery, cancel)?;
-        let stored = self.signature_cache.as_ref().is_some_and(|cache| {
-            cache.store_signatures(k, seed, stream.n_rows(), stream.n_cols(), &sigs)
-        });
-        Ok((sigs, phase1_provenance(false, stored)))
-    }
-
-    /// [`bottom_k_resumable`] behind the signature cache; see
-    /// [`signatures_resumable_cached`](Self::signatures_resumable_cached).
-    #[allow(clippy::too_many_arguments)]
-    fn bottom_k_resumable_cached<S: RowStream>(
-        &self,
-        stream: &mut S,
-        k: usize,
-        seed: u64,
-        spec: &CheckpointSpec,
-        key: RunKey,
-        recovery: &mut RecoveryMetrics,
-        cancel: &CancelToken,
-    ) -> Result<(BottomKSignatures, Phase1Metrics)> {
-        if let Some(cache) = &self.signature_cache {
-            if let Some(sigs) = cache.load_bottom_k(k, seed, stream.n_rows(), stream.n_cols()) {
-                return Ok((sigs, phase1_provenance(true, false)));
-            }
-        }
-        let sigs = bottom_k_resumable(stream, k, seed, spec, key, recovery, cancel)?;
-        let stored = self.signature_cache.as_ref().is_some_and(|cache| {
-            cache.store_bottom_k(k, seed, stream.n_rows(), stream.n_cols(), &sigs)
-        });
-        Ok((sigs, phase1_provenance(false, stored)))
     }
 
     /// Classifies verified pairs against the `s*` threshold and packs the
@@ -355,7 +298,8 @@ impl Pipeline {
     ) -> Result<MiningResult> {
         cancel.check()?;
         let mut scan = ScanCounter::new(&mut *stream);
-        let (candidates, mut timings, mut metrics) = self.candidates_with_metrics(&mut scan)?;
+        let (candidates, mut timings, mut metrics) =
+            self.candidates_with_metrics(Table::Stream(&mut scan), &ThreadPool::new(1))?;
         cancel.check()?;
         scan.reset()?;
         let t = Instant::now();
@@ -393,7 +337,7 @@ impl Pipeline {
     /// exact `(configuration, table)` pair — stale or mismatched state is
     /// ignored, never resumed into — and are deleted once the run
     /// completes. The H-LSH scheme materializes the matrix up front and has
-    /// no incremental state; it falls back to a plain [`run`](Self::run).
+    /// no incremental phase-1 state, so only its verify pass checkpoints.
     ///
     /// # Errors
     ///
@@ -429,114 +373,22 @@ impl Pipeline {
         spec: &CheckpointSpec,
         cancel: &CancelToken,
     ) -> Result<MiningResult> {
-        let cfg = &self.config;
-        if matches!(cfg.scheme, Scheme::HLsh { .. }) {
-            return self.run_with(stream, cancel);
-        }
-        let key = RunKey::new(cfg, stream.n_rows(), stream.n_cols());
+        let key = RunKey::new(&self.config, stream.n_rows(), stream.n_cols());
         let recovered = durable::recover_dir(&spec.dir, key)?;
-        let sig_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::SIGNATURES);
-        let lsh_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::LSH);
         let mut recovery = RecoveryMetrics {
             files_quarantined: recovered.files_quarantined,
             tmp_files_removed: recovered.tmp_files_removed,
             ..RecoveryMetrics::default()
         };
-        let mut timings = PhaseTimings::default();
-        let mut metrics = MiningMetrics {
-            scheme: cfg.scheme.name().to_owned(),
-            ..MiningMetrics::default()
-        };
         let mut scan = ScanCounter::new(&mut *stream);
-        let candidates = match cfg.scheme {
-            Scheme::Mh { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_resumable_cached(
-                    &mut scan,
-                    k,
-                    sig_seed,
-                    spec,
-                    key,
-                    &mut recovery,
-                    cancel,
-                )?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = mh_candidates_with_stats(&sigs, cfg.s_star, delta);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::MhRowSort { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_resumable_cached(
-                    &mut scan,
-                    k,
-                    sig_seed,
-                    spec,
-                    key,
-                    &mut recovery,
-                    cancel,
-                )?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = rowsort_candidates_with_stats(&sigs, cfg.s_star, delta);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::Kmh { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.bottom_k_resumable_cached(
-                    &mut scan,
-                    k,
-                    sig_seed,
-                    spec,
-                    key,
-                    &mut recovery,
-                    cancel,
-                )?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = kmh_candidates_with_stats(&sigs, cfg.s_star, delta);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::MLsh { k, r, l, sampled } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_resumable_cached(
-                    &mut scan,
-                    k,
-                    sig_seed,
-                    spec,
-                    key,
-                    &mut recovery,
-                    cancel,
-                )?;
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let params = if sampled {
-                    MLshParams::sampled(r, l, lsh_seed)
-                } else {
-                    MLshParams::banded(r, l, lsh_seed)
-                };
-                let (cands, stats) = mlsh_candidates_with_stats(&sigs, &params);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::HLsh { .. } => unreachable!("handled above"),
+        let ckpt = Checkpointing {
+            spec,
+            key,
+            recovery: &mut recovery,
+            cancel,
         };
-        metrics.candidates_generated = candidates.len() as u64;
+        let (candidates, mut timings, mut metrics) =
+            self.candidates_with_metrics(Table::Resumable(&mut scan, ckpt), &ThreadPool::new(1))?;
         cancel.check()?;
         scan.reset()?;
         let fp = checkpoint::candidates_fingerprint(&candidates);
@@ -577,6 +429,35 @@ impl Pipeline {
     }
 }
 
+/// Where phase 1 reads the table from.
+enum Table<'s, 'm, S> {
+    /// One streaming pass.
+    Stream(&'s mut S),
+    /// One streaming pass that checkpoints (and resumes) its builder.
+    Resumable(&'s mut S, Checkpointing<'s>),
+    /// The resident matrix, sketched on the pool.
+    Resident(&'m RowMajorMatrix, &'m ThreadPool),
+}
+
+impl<S: RowStream> Table<'_, '_, S> {
+    /// `(rows, columns)` of the table.
+    fn dims(&self) -> (u32, u32) {
+        match self {
+            Self::Stream(stream) | Self::Resumable(stream, _) => (stream.n_rows(), stream.n_cols()),
+            Self::Resident(matrix, _) => (matrix.n_rows(), matrix.n_cols()),
+        }
+    }
+}
+
+/// A checkpointed phase-1 pass's state directory, run identity, recovery
+/// counters and cancellation token.
+struct Checkpointing<'a> {
+    spec: &'a CheckpointSpec,
+    key: RunKey,
+    recovery: &'a mut RecoveryMetrics,
+    cancel: &'a CancelToken,
+}
+
 /// Phase 1 (MH family) with checkpointing: resumes an [`MhBuilder`] from
 /// the last phase-1 checkpoint if one matches, persists its state every
 /// `spec.every_rows` rows, and always persists the completed state so a
@@ -585,11 +466,14 @@ fn signatures_resumable<S: RowStream>(
     stream: &mut S,
     k: usize,
     seed: u64,
-    spec: &CheckpointSpec,
-    key: RunKey,
-    recovery: &mut RecoveryMetrics,
-    cancel: &CancelToken,
+    ckpt: Checkpointing<'_>,
 ) -> Result<SignatureMatrix> {
+    let Checkpointing {
+        spec,
+        key,
+        recovery,
+        cancel,
+    } = ckpt;
     let m = stream.n_cols() as usize;
     let mut builder = match checkpoint::load_phase1(spec, key) {
         Some(Phase1State::Mh { rows_done, sigs }) if sigs.k() == k && sigs.m() == m => {
@@ -626,11 +510,14 @@ fn bottom_k_resumable<S: RowStream>(
     stream: &mut S,
     k: usize,
     seed: u64,
-    spec: &CheckpointSpec,
-    key: RunKey,
-    recovery: &mut RecoveryMetrics,
-    cancel: &CancelToken,
+    ckpt: Checkpointing<'_>,
 ) -> Result<BottomKSignatures> {
+    let Checkpointing {
+        spec,
+        key,
+        recovery,
+        cancel,
+    } = ckpt;
     let m = stream.n_cols() as usize;
     let mut builder = match checkpoint::load_phase1(spec, key) {
         Some(Phase1State::Kmh {
@@ -706,155 +593,18 @@ fn save_kmh_state(spec: &CheckpointSpec, key: RunKey, builder: &KmhBuilder) -> R
 
 impl Pipeline {
     /// Parallel in-memory run: every phase of every scheme executes over
-    /// one persistent [`sfa_par::ThreadPool`] — signature computation,
-    /// candidate generation (Hash-Count, Row-Sorting, K-MH overlap, M-LSH
-    /// banding, and H-LSH ladder runs all have pool-parallel kernels), and
-    /// exact verification. Output is byte-identical to [`run`](Self::run)
-    /// for every scheme at every thread count.
-    ///
-    /// `n_threads == 0` sizes the pool from the machine
-    /// (`std::thread::available_parallelism`); the count actually used is
-    /// recorded in `metrics.threads`.
+    /// one caller-owned [`sfa_par::ThreadPool`] — signature computation,
+    /// candidate generation (every scheme counts through the shared
+    /// pool-parallel kernel) and exact verification — so several runs
+    /// (e.g. a benchmark sweep) can share one set of workers. Output is
+    /// byte-identical to [`run`](Self::run) for every scheme at every
+    /// thread count; `metrics.threads` records the pool size.
     #[must_use]
-    pub fn run_parallel(&self, matrix: &RowMajorMatrix, n_threads: usize) -> MiningResult {
-        let pool = sfa_par::ThreadPool::new(n_threads);
-        self.run_pool(matrix, &pool)
-    }
-
-    /// [`signatures_phase1`](Self::signatures_phase1) for the pool path:
-    /// same cache-first discipline, pool-parallel pass on a miss.
-    fn signatures_pool_phase1(
-        &self,
-        matrix: &RowMajorMatrix,
-        k: usize,
-        seed: u64,
-        pool: &sfa_par::ThreadPool,
-    ) -> (SignatureMatrix, Phase1Metrics) {
-        if let Some(cache) = &self.signature_cache {
-            if let Some(sigs) = cache.load_signatures(k, seed, matrix.n_rows(), matrix.n_cols()) {
-                return (sigs, phase1_provenance(true, false));
-            }
-            let sigs = compute_signatures_pool(matrix, k, seed, pool);
-            let stored = cache.store_signatures(k, seed, matrix.n_rows(), matrix.n_cols(), &sigs);
-            return (sigs, phase1_provenance(false, stored));
-        }
-        let sigs = compute_signatures_pool(matrix, k, seed, pool);
-        (sigs, phase1_provenance(false, false))
-    }
-
-    /// [`bottom_k_phase1`](Self::bottom_k_phase1) for the pool path.
-    fn bottom_k_pool_phase1(
-        &self,
-        matrix: &RowMajorMatrix,
-        k: usize,
-        seed: u64,
-        pool: &sfa_par::ThreadPool,
-    ) -> (BottomKSignatures, Phase1Metrics) {
-        if let Some(cache) = &self.signature_cache {
-            if let Some(sigs) = cache.load_bottom_k(k, seed, matrix.n_rows(), matrix.n_cols()) {
-                return (sigs, phase1_provenance(true, false));
-            }
-            let sigs = compute_bottom_k_pool(matrix, k, seed, pool);
-            let stored = cache.store_bottom_k(k, seed, matrix.n_rows(), matrix.n_cols(), &sigs);
-            return (sigs, phase1_provenance(false, stored));
-        }
-        let sigs = compute_bottom_k_pool(matrix, k, seed, pool);
-        (sigs, phase1_provenance(false, false))
-    }
-
-    /// [`run_parallel`](Self::run_parallel) over a caller-owned pool, so
-    /// several runs (e.g. a benchmark sweep) can share one set of workers.
-    #[must_use]
-    pub fn run_pool(&self, matrix: &RowMajorMatrix, pool: &sfa_par::ThreadPool) -> MiningResult {
-        let cfg = &self.config;
-        let sig_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::SIGNATURES);
-        let lsh_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::LSH);
-        let mut timings = PhaseTimings::default();
-        let mut metrics = MiningMetrics {
-            scheme: cfg.scheme.name().to_owned(),
-            threads: pool.threads() as u64,
-            ..MiningMetrics::default()
-        };
-        let candidates = match cfg.scheme {
-            Scheme::Mh { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_pool_phase1(matrix, k, sig_seed, pool);
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = mh_candidates_with_stats_pool(&sigs, cfg.s_star, delta, pool);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::MhRowSort { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_pool_phase1(matrix, k, sig_seed, pool);
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) =
-                    rowsort_candidates_with_stats_pool(&sigs, cfg.s_star, delta, pool);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::Kmh { k, delta } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.bottom_k_pool_phase1(matrix, k, sig_seed, pool);
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let (cands, stats) = kmh_candidates_with_stats_pool(&sigs, cfg.s_star, delta, pool);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::MLsh { k, r, l, sampled } => {
-                let t = Instant::now();
-                let (sigs, phase1) = self.signatures_pool_phase1(matrix, k, sig_seed, pool);
-                timings.signatures = t.elapsed();
-                metrics.phase1 = Some(phase1);
-                metrics.signature_bytes = sigs.heap_bytes();
-                let t = Instant::now();
-                let params = if sampled {
-                    MLshParams::sampled(r, l, lsh_seed)
-                } else {
-                    MLshParams::banded(r, l, lsh_seed)
-                };
-                let (cands, stats) = mlsh_candidates_with_stats_pool(&sigs, &params, pool);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-            Scheme::HLsh {
-                r,
-                l,
-                t: gate,
-                max_levels,
-            } => {
-                // H-LSH works directly on the data; the in-memory matrix
-                // *is* the phase-1 summary.
-                metrics.signature_bytes = matrix.heap_bytes();
-                let t = Instant::now();
-                let params = HLshParams {
-                    r,
-                    l,
-                    t: gate,
-                    max_levels,
-                    include_zero_keys: false,
-                    seed: lsh_seed,
-                };
-                let (cands, stats) = hlsh_candidates_with_stats_pool(matrix, &params, pool);
-                timings.candidates = t.elapsed();
-                metrics.absorb_candidate_stats(stats);
-                cands
-            }
-        };
-        metrics.candidates_generated = candidates.len() as u64;
+    pub fn run_pool(&self, matrix: &RowMajorMatrix, pool: &ThreadPool) -> MiningResult {
+        let (candidates, mut timings, mut metrics) = self
+            .candidates_with_metrics(Table::<MemoryRowStream>::Resident(matrix, pool), pool)
+            .expect("a resident matrix cannot fail to read");
+        metrics.threads = pool.threads() as u64;
         // Phase 3: the matrix is resident, so verify against its
         // column-major transpose with the bitmap kernels instead of
         // re-scanning rows (streaming, checkpoint, and fault-injection
@@ -906,9 +656,10 @@ fn materialize<S: RowStream>(stream: &mut S) -> Result<RowMajorMatrix> {
 /// The budget governs the state that grows with the number of *candidate
 /// pairs* — phase-2 pair counters and the phase-3 per-group verification
 /// state — which is the quadratic blowup the paper's schemes are designed
-/// to tame. Linear-in-`m` summaries (signatures, the H-LSH base matrix,
-/// per-column counts) are deliberately outside the budget: they are the
-/// fixed cost of running the scheme at all and cannot be sharded away.
+/// to tame. Linear-in-`m` state — the signatures, the H-LSH base matrix,
+/// per-column counts, and the sorted `(key, column)` entries phase 2
+/// buckets through — is deliberately outside the budget: it is the fixed
+/// cost of running the scheme at all and cannot be sharded away.
 #[derive(Debug, Clone)]
 pub struct MemoryBudget {
     /// Byte cap on pair-space state. Must be at least
@@ -917,10 +668,6 @@ pub struct MemoryBudget {
     /// Directory for `.sfsp` spill files (created if absent, spill files
     /// removed when the run completes).
     pub spill_dir: PathBuf,
-    /// Shard count the first generation attempt uses (power of two). The
-    /// run doubles it on its own whenever a shard overflows the budget;
-    /// raising it just skips the doubling steps a too-small guess costs.
-    pub initial_shards: u32,
 }
 
 impl MemoryBudget {
@@ -929,29 +676,14 @@ impl MemoryBudget {
     /// overflows, so no shard count can satisfy the cap.
     pub const MIN_BYTES: usize = 192;
 
-    /// A budget of `bytes` spilling into `spill_dir`, starting unsharded.
+    /// A budget of `bytes` spilling into `spill_dir`. A run starts
+    /// unsharded and doubles the shard count whenever a shard overflows.
     #[must_use]
     pub fn new(bytes: usize, spill_dir: impl Into<PathBuf>) -> Self {
         Self {
             bytes,
             spill_dir: spill_dir.into(),
-            initial_shards: 1,
         }
-    }
-
-    /// Starts generation at `shards` shards instead of 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards` is a power of two.
-    #[must_use]
-    pub fn with_initial_shards(mut self, shards: u32) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two"
-        );
-        self.initial_shards = shards;
-        self
     }
 }
 
@@ -965,15 +697,16 @@ const MAX_SHARDS: u32 = 1 << 20;
 /// and two partner-adjacency entries.
 const VERIFY_BYTES_PER_CANDIDATE: u64 = 64;
 
-/// The phase-1 summary a sharded run keeps resident: every shard's
-/// generation pass re-reads this instead of re-scanning the table.
-enum Phase1Summary {
+/// The resident phase-1 summary phase 2 reads: every shard's generation
+/// pass re-reads this instead of re-scanning the table. The H-LSH matrix
+/// is borrowed when the table is already resident.
+enum Phase1Summary<'m> {
     Sigs(SignatureMatrix),
     BottomK(BottomKSignatures),
-    Matrix(RowMajorMatrix),
+    Matrix(Cow<'m, RowMajorMatrix>),
 }
 
-impl Phase1Summary {
+impl Phase1Summary<'_> {
     fn heap_bytes(&self) -> u64 {
         match self {
             Self::Sigs(s) => s.heap_bytes(),
@@ -1004,61 +737,6 @@ fn merge_stats(acc: &mut CandidateGenStats, part: CandidateGenStats) {
 }
 
 impl Pipeline {
-    /// Runs one shard's candidate generation against the resident phase-1
-    /// summary under the byte cap.
-    fn generate_shard(
-        &self,
-        summary: &Phase1Summary,
-        lsh_seed: u64,
-        shard: PairShard,
-        cap_bytes: usize,
-    ) -> (
-        Vec<CandidatePair>,
-        CandidateGenStats,
-        sfa_hash::bucket::ShardPassOutcome,
-    ) {
-        let cfg = &self.config;
-        match (cfg.scheme, summary) {
-            (Scheme::Mh { delta, .. }, Phase1Summary::Sigs(sigs)) => {
-                mh_candidates_sharded(sigs, cfg.s_star, delta, shard, cap_bytes)
-            }
-            (Scheme::MhRowSort { delta, .. }, Phase1Summary::Sigs(sigs)) => {
-                rowsort_candidates_sharded(sigs, cfg.s_star, delta, shard, cap_bytes)
-            }
-            (Scheme::Kmh { delta, .. }, Phase1Summary::BottomK(sigs)) => {
-                kmh_candidates_sharded(sigs, cfg.s_star, delta, shard, cap_bytes)
-            }
-            (Scheme::MLsh { r, l, sampled, .. }, Phase1Summary::Sigs(sigs)) => {
-                let params = if sampled {
-                    MLshParams::sampled(r, l, lsh_seed)
-                } else {
-                    MLshParams::banded(r, l, lsh_seed)
-                };
-                mlsh_candidates_sharded(sigs, &params, shard, cap_bytes)
-            }
-            (
-                Scheme::HLsh {
-                    r,
-                    l,
-                    t: gate,
-                    max_levels,
-                },
-                Phase1Summary::Matrix(matrix),
-            ) => {
-                let params = HLshParams {
-                    r,
-                    l,
-                    t: gate,
-                    max_levels,
-                    include_zero_keys: false,
-                    seed: lsh_seed,
-                };
-                hlsh_candidates_sharded(matrix, &params, shard, cap_bytes)
-            }
-            _ => unreachable!("summary kind always matches the scheme"),
-        }
-    }
-
     /// Runs the pipeline with its pair-space state capped at
     /// `budget.bytes`, spilling per-shard candidate sets to disk.
     ///
@@ -1134,8 +812,6 @@ impl Pipeline {
                 recovered = recovered.merge(durable::recover_dir(&spec.dir, key)?);
             }
         }
-        let sig_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::SIGNATURES);
-        let lsh_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::LSH);
         let mut recovery = RecoveryMetrics {
             files_quarantined: recovered.files_quarantined,
             tmp_files_removed: recovered.tmp_files_removed,
@@ -1151,43 +827,20 @@ impl Pipeline {
         // Phase 1: one streaming pass into the resident summary (skipped
         // entirely on a signature-cache hit).
         let t = Instant::now();
-        let summary = match cfg.scheme {
-            Scheme::Mh { k, .. } | Scheme::MhRowSort { k, .. } | Scheme::MLsh { k, .. } => {
-                let (sigs, phase1) = match checkpoint {
-                    Some(spec) => self.signatures_resumable_cached(
-                        &mut scan,
-                        k,
-                        sig_seed,
-                        spec,
-                        key,
-                        &mut recovery,
-                        cancel,
-                    )?,
-                    None => self.signatures_phase1(&mut scan, k, sig_seed)?,
-                };
-                metrics.phase1 = Some(phase1);
-                Phase1Summary::Sigs(sigs)
-            }
-            Scheme::Kmh { k, .. } => {
-                let (sigs, phase1) = match checkpoint {
-                    Some(spec) => self.bottom_k_resumable_cached(
-                        &mut scan,
-                        k,
-                        sig_seed,
-                        spec,
-                        key,
-                        &mut recovery,
-                        cancel,
-                    )?,
-                    None => self.bottom_k_phase1(&mut scan, k, sig_seed)?,
-                };
-                metrics.phase1 = Some(phase1);
-                Phase1Summary::BottomK(sigs)
-            }
-            // H-LSH works directly on the data; there is no incremental
-            // phase-1 state to checkpoint and no sketch to cache.
-            Scheme::HLsh { .. } => Phase1Summary::Matrix(materialize(&mut scan)?),
+        let table = match checkpoint {
+            Some(spec) => Table::Resumable(
+                &mut scan,
+                Checkpointing {
+                    spec,
+                    key,
+                    recovery: &mut recovery,
+                    cancel,
+                },
+            ),
+            None => Table::Stream(&mut scan),
         };
+        let (summary, phase1) = self.phase1(table)?;
+        metrics.phase1 = phase1;
         timings.signatures = t.elapsed();
         metrics.signature_bytes = summary.heap_bytes();
 
@@ -1195,9 +848,9 @@ impl Pipeline {
         // partition whenever a shard overflows. An interrupted run's spill
         // files let a rerun adopt the widest partition already on disk and
         // skip every shard spilled there.
-        let mut g = spill::max_valid_shard_count(&budget.spill_dir, key)
-            .unwrap_or(budget.initial_shards)
-            .max(budget.initial_shards);
+        // A bounded cap counts on one worker into one table.
+        let pool = ThreadPool::new(1);
+        let mut g = spill::max_valid_shard_count(&budget.spill_dir, key).unwrap_or(1);
         let mut shard_restarts = 0u64;
         let mut generation_passes = 0u64;
         let mut spill_bytes = 0u64;
@@ -1219,7 +872,7 @@ impl Pipeline {
                 }
                 generation_passes += 1;
                 let (cands, stats, outcome) =
-                    self.generate_shard(&summary, lsh_seed, PairShard::new(s, width), budget.bytes);
+                    self.generate(&summary, PairShard::new(s, width), budget.bytes, &pool);
                 peak_tracked_bytes = peak_tracked_bytes.max(outcome.counter_bytes as u64);
                 if outcome.overflowed {
                     if width >= MAX_SHARDS {
@@ -1529,7 +1182,7 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_matches_run() {
+    fn run_pool_matches_run() {
         // Every scheme's parallel path must be byte-identical to the
         // sequential pipeline at every thread count: same verified pairs,
         // column counts, stage counters, and occupancy histograms.
@@ -1562,7 +1215,7 @@ mod tests {
                 .run(&mut MemoryRowStream::new(&m))
                 .unwrap();
             for threads in [1, 2, 4, 7] {
-                let par = Pipeline::new(cfg).run_parallel(&m, threads);
+                let par = Pipeline::new(cfg).run_pool(&m, &ThreadPool::new(threads));
                 assert_eq!(par.verified, seq.verified, "{} x{threads}", scheme.name());
                 assert_eq!(par.column_counts, seq.column_counts);
                 assert_eq!(
@@ -1583,10 +1236,10 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_auto_threads_sizes_from_machine() {
+    fn run_pool_auto_threads_sizes_from_machine() {
         let m = matrix();
         let cfg = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.8, 17);
-        let auto = Pipeline::new(cfg).run_parallel(&m, 0);
+        let auto = Pipeline::new(cfg).run_pool(&m, &ThreadPool::new(0));
         assert!(auto.metrics.threads >= 1);
         let seq = Pipeline::new(cfg)
             .run(&mut MemoryRowStream::new(&m))
@@ -1597,7 +1250,7 @@ mod tests {
     #[test]
     fn run_pool_reuses_one_pool_across_runs() {
         let m = matrix();
-        let pool = sfa_par::ThreadPool::new(3);
+        let pool = ThreadPool::new(3);
         for scheme in [
             Scheme::Mh { k: 32, delta: 0.2 },
             Scheme::Kmh { k: 16, delta: 0.2 },
@@ -1686,17 +1339,17 @@ mod tests {
                 .unwrap();
             assert_eq!(resumable.verified, plain.verified, "{}", scheme.name());
             assert_eq!(resumable.column_counts, plain.column_counts);
-            if !matches!(scheme, Scheme::HLsh { .. }) {
-                assert!(
-                    resumable.metrics.recovery.checkpoints_written > 0,
-                    "{}: no checkpoints written",
-                    scheme.name()
-                );
-                assert_eq!(resumable.metrics.recovery.resumed_from_row, 0);
-                // Success must leave no checkpoint files behind.
-                assert!(!spec.dir.join("phase1.sfcp").exists());
-                assert!(!spec.dir.join("phase3.sfcp").exists());
-            }
+            // H-LSH has no phase-1 builder, but its verify pass
+            // checkpoints like every other scheme's.
+            assert!(
+                resumable.metrics.recovery.checkpoints_written > 0,
+                "{}: no checkpoints written",
+                scheme.name()
+            );
+            assert_eq!(resumable.metrics.recovery.resumed_from_row, 0);
+            // Success must leave no checkpoint files behind.
+            assert!(!spec.dir.join("phase1.sfcp").exists());
+            assert!(!spec.dir.join("phase3.sfcp").exists());
         }
     }
 
@@ -1819,10 +1472,10 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_reports_coarse_metrics() {
+    fn run_pool_reports_coarse_metrics() {
         let m = matrix();
         let cfg = PipelineConfig::new(Scheme::Mh { k: 64, delta: 0.2 }, 0.8, 17);
-        let par = Pipeline::new(cfg).run_parallel(&m, 3);
+        let par = Pipeline::new(cfg).run_pool(&m, &ThreadPool::new(3));
         assert_eq!(par.metrics.scheme, "MH");
         assert_eq!(
             par.metrics.signature_pass.rows_scanned,
@@ -1849,28 +1502,59 @@ mod tests {
         d
     }
 
+    /// A dense overlap structure: 8 columns that constantly co-bucket, so
+    /// the pair counters need more than the 12 distinct keys a
+    /// minimum-budget (16-slot) table can hold.
+    fn dense_matrix() -> RowMajorMatrix {
+        let rows: Vec<Vec<u32>> = (0..60u32)
+            .map(|i| {
+                let mut v = vec![i % 8, (i * 3 + 1) % 8, (i * 5 + 2) % 8];
+                v.sort_unstable();
+                v.dedup();
+                v
+            })
+            .collect();
+        RowMajorMatrix::from_rows(8, rows).unwrap()
+    }
+
     #[test]
     fn run_sharded_matches_run_for_every_scheme_and_shard_count() {
-        let m = matrix();
-        for scheme in all_schemes() {
-            let cfg = PipelineConfig::new(scheme, 0.8, 11);
+        let m = dense_matrix();
+        let mut schemes = all_schemes();
+        // Short keys make the LSH schemes collide often enough to shard.
+        schemes.push(Scheme::MLsh {
+            k: 40,
+            r: 1,
+            l: 20,
+            sampled: true,
+        });
+        schemes.push(Scheme::HLsh {
+            r: 2,
+            l: 8,
+            t: 4,
+            max_levels: 12,
+        });
+        for scheme in schemes {
+            let cfg = PipelineConfig::new(scheme, 0.5, 11);
             let plain = Pipeline::new(cfg)
                 .run(&mut MemoryRowStream::new(&m))
                 .unwrap();
-            for shards in [1u32, 2, 4] {
-                let d = spill_dir(&format!("{}-{shards}", scheme.name()));
-                // A roomy budget pins the shard count: nothing overflows,
-                // so the run stays at `initial_shards`.
-                let budget = MemoryBudget::new(1 << 20, &d).with_initial_shards(shards);
+            // Budgets from the minimum (one 16-slot table per shard) to
+            // roomy: the run doubles the partition until shards fit.
+            let mut widths = Vec::new();
+            for budget_bytes in [192usize, 384, 768, 1 << 20] {
+                let d = spill_dir(&format!("{}-{budget_bytes}", scheme.name()));
+                let budget = MemoryBudget::new(budget_bytes, &d);
                 let sharded = Pipeline::new(cfg)
                     .run_sharded(&mut MemoryRowStream::new(&m), &budget, None)
                     .unwrap();
-                assert_eq!(
-                    sharded.verified,
-                    plain.verified,
-                    "{} at {shards} shards",
+                let s = sharded.metrics.sharding.expect("sharding metrics");
+                let shards = s.shards;
+                let at = format!(
+                    "{} under {budget_bytes} bytes ({shards} shards)",
                     scheme.name()
                 );
+                assert_eq!(sharded.verified, plain.verified, "{at}");
                 assert_eq!(sharded.column_counts, plain.column_counts);
                 // Per-pair stages partition exactly across shards; the
                 // counter-increment stage counts work actually done, which
@@ -1884,41 +1568,35 @@ mod tests {
                 {
                     assert_eq!(s_stage.stage, p_stage.stage);
                     let expected = if s_stage.stage == "counter-increments" {
-                        p_stage.count * u64::from(shards)
+                        p_stage.count * shards
                     } else {
                         p_stage.count
                     };
-                    assert_eq!(
-                        s_stage.count,
-                        expected,
-                        "{} at {shards} shards: stage {}",
-                        scheme.name(),
-                        s_stage.stage
-                    );
+                    assert_eq!(s_stage.count, expected, "{at}: stage {}", s_stage.stage);
                 }
                 let scaled: Vec<u64> = plain
                     .metrics
                     .bucket_histogram
                     .iter()
-                    .map(|&v| v * u64::from(shards))
+                    .map(|&v| v * shards)
                     .collect();
-                assert_eq!(
-                    sharded.metrics.bucket_histogram,
-                    scaled,
-                    "{} at {shards} shards: bucket histogram",
-                    scheme.name()
-                );
+                assert_eq!(sharded.metrics.bucket_histogram, scaled, "{at}");
                 assert_eq!(
                     sharded.metrics.candidates_generated,
                     plain.metrics.candidates_generated
                 );
-                let s = sharded.metrics.sharding.expect("sharding metrics");
-                assert_eq!(s.shards, u64::from(shards));
-                assert_eq!(s.shard_restarts, 0);
-                assert_eq!(s.generation_passes, u64::from(shards));
+                // Every attempt before the last overflowed and restarted.
+                assert_eq!(1u64 << s.shard_restarts, shards, "{at}");
+                assert!(s.generation_passes >= shards, "{at}");
                 assert!(s.verify_groups >= 1);
                 assert!(s.spill_bytes > 0);
-                assert!(s.peak_tracked_bytes <= 1 << 20);
+                // Counters stay under the cap; only a lone shard whose
+                // candidates outgrow it may verify above it.
+                let lone_shard = plain.metrics.candidates_generated * VERIFY_BYTES_PER_CANDIDATE;
+                assert!(
+                    s.peak_tracked_bytes <= lone_shard.max(budget_bytes as u64),
+                    "{at}"
+                );
                 // Spill files are cleaned up on success.
                 assert!(
                     std::fs::read_dir(&d).unwrap().all(|e| !e
@@ -1929,24 +1607,27 @@ mod tests {
                     "spill files survived a completed run"
                 );
                 let _ = std::fs::remove_dir_all(&d);
+                widths.push(shards);
             }
+            assert_eq!(widths.last(), Some(&1), "{}: roomy budget", scheme.name());
+            if plain.metrics.stage(pairs_stage(&scheme)).unwrap() > 12 {
+                assert!(widths[0] >= 2, "{}: {widths:?}", scheme.name());
+            }
+        }
+    }
+
+    /// The stage counting distinct counted pairs.
+    fn pairs_stage(scheme: &Scheme) -> &'static str {
+        match scheme {
+            Scheme::Mh { .. } | Scheme::MhRowSort { .. } => "pairs-agreeing",
+            Scheme::Kmh { .. } => "pairs-overlapping",
+            Scheme::MLsh { .. } | Scheme::HLsh { .. } => "colliding-pairs",
         }
     }
 
     #[test]
     fn run_sharded_tiny_budget_doubles_until_shards_fit() {
-        // A dense overlap structure: 8 columns that constantly co-bucket,
-        // so the pair counter needs far more than the 12 distinct keys a
-        // minimum-budget (16-slot) table can hold.
-        let rows: Vec<Vec<u32>> = (0..60u32)
-            .map(|i| {
-                let mut v = vec![i % 8, (i * 3 + 1) % 8, (i * 5 + 2) % 8];
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        let m = RowMajorMatrix::from_rows(8, rows).unwrap();
+        let m = dense_matrix();
         let cfg = PipelineConfig::new(Scheme::Mh { k: 100, delta: 0.2 }, 0.5, 11);
         let plain = Pipeline::new(cfg)
             .run(&mut MemoryRowStream::new(&m))
@@ -1987,15 +1668,16 @@ mod tests {
 
     #[test]
     fn run_sharded_scans_the_table_once_per_verify_group_plus_phase1() {
-        let m = matrix();
-        let cfg = PipelineConfig::new(Scheme::Mh { k: 64, delta: 0.2 }, 0.8, 11);
+        let m = dense_matrix();
+        let cfg = PipelineConfig::new(Scheme::Mh { k: 64, delta: 0.2 }, 0.5, 11);
         let d = spill_dir("passes");
-        let budget = MemoryBudget::new(1 << 20, &d).with_initial_shards(4);
+        let budget = MemoryBudget::new(MemoryBudget::MIN_BYTES, &d);
         let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
         let result = Pipeline::new(cfg)
             .run_sharded(&mut counter, &budget, None)
             .unwrap();
         let s = result.metrics.sharding.expect("sharding metrics");
+        assert!(s.shards >= 2 && s.verify_groups >= 2, "{s:?}");
         assert_eq!(
             u64::from(counter.passes()),
             1 + s.verify_groups,
@@ -2009,7 +1691,7 @@ mod tests {
         let m = matrix();
         let cfg = PipelineConfig::new(Scheme::Mh { k: 64, delta: 0.2 }, 0.8, 11);
         let d = spill_dir("resume");
-        let budget = MemoryBudget::new(1 << 20, &d).with_initial_shards(2);
+        let budget = MemoryBudget::new(1 << 20, &d);
         let key = RunKey::new(&cfg, m.n_rows(), m.n_cols());
 
         // Seed the spill dir the way an interrupted run would: generate
@@ -2017,9 +1699,10 @@ mod tests {
         std::fs::create_dir_all(&d).unwrap();
         let sig_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::SIGNATURES);
         let sigs = compute_signatures(&mut MemoryRowStream::new(&m), 64, sig_seed).unwrap();
+        let pool = ThreadPool::new(1);
         for s in 0..2u32 {
             let (cands, _, outcome) =
-                mh_candidates_sharded(&sigs, 0.8, 0.2, PairShard::new(s, 2), usize::MAX);
+                mh_candidates(&sigs, 0.8, 0.2, PairShard::new(s, 2), usize::MAX, &pool);
             assert!(!outcome.overflowed);
             spill::save_shard_candidates(&d, key, s, 2, &cands).unwrap();
         }
@@ -2041,7 +1724,7 @@ mod tests {
 
     #[test]
     fn run_sharded_with_checkpoints_matches_and_cleans_up() {
-        let m = matrix();
+        let m = dense_matrix();
         for scheme in [
             Scheme::Mh { k: 64, delta: 0.2 },
             Scheme::Kmh { k: 16, delta: 0.2 },
@@ -2052,12 +1735,12 @@ mod tests {
                 max_levels: 12,
             },
         ] {
-            let cfg = PipelineConfig::new(scheme, 0.8, 11);
+            let cfg = PipelineConfig::new(scheme, 0.5, 11);
             let plain = Pipeline::new(cfg)
                 .run(&mut MemoryRowStream::new(&m))
                 .unwrap();
             let d = spill_dir(&format!("ckpt-{}", scheme.name()));
-            let budget = MemoryBudget::new(1 << 20, &d).with_initial_shards(2);
+            let budget = MemoryBudget::new(384, &d);
             let spec = CheckpointSpec::new(d.join("ckpt")).with_every_rows(16);
             let sharded = Pipeline::new(cfg)
                 .run_sharded(&mut MemoryRowStream::new(&m), &budget, Some(&spec))

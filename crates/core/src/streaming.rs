@@ -10,6 +10,7 @@
 //!
 //! [`KmhBuilder`]: sfa_minhash::KmhBuilder
 
+use sfa_hash::PairShard;
 use sfa_matrix::{MemoryRowStream, Result, RowMajorMatrix};
 use sfa_minhash::hashcount::kmh_candidates;
 use sfa_minhash::KmhBuilder;
@@ -101,13 +102,17 @@ impl StreamingMiner {
 
     /// Mines the current state: candidates from the sketch, exact
     /// verification over the rows seen so far, output filtered at `s_star`.
+    /// Runs on the caller thread alone, so a serving rebuild never takes
+    /// a query core.
     ///
     /// # Errors
     ///
     /// Propagates (in-memory) stream errors — practically infallible.
     pub fn mine(&self, s_star: f64, delta: f64) -> Result<Vec<VerifiedPair>> {
         let sigs = self.sketch.clone().finish();
-        let candidates = kmh_candidates(&sigs, s_star, delta);
+        let pool = sfa_par::ThreadPool::new(1);
+        let (candidates, _, _) =
+            kmh_candidates(&sigs, s_star, delta, PairShard::all(), usize::MAX, &pool);
         let matrix = RowMajorMatrix::from_rows(self.n_cols, self.rows.clone())?;
         let (verified, _) = verify_candidates(&mut MemoryRowStream::new(&matrix), &candidates)?;
         let mut out: Vec<VerifiedPair> = verified

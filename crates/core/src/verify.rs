@@ -244,123 +244,6 @@ pub fn verify_candidates_resumable<S: RowStream>(
     Ok((verified, column_counts, probes))
 }
 
-/// Bounded-memory verification: processes candidates in chunks of at most
-/// `chunk_size`, making one streaming pass per chunk.
-///
-/// The paper assumes "all of the candidates can fit in main memory"; when a
-/// loose scheme floods phase 3 with more pairs than memory allows, this
-/// variant trades extra sequential passes (`⌈candidates / chunk_size⌉`) for
-/// an `O(chunk_size + m)` memory bound.
-///
-/// Output is identical to [`verify_candidates`] (same order, same counts).
-///
-/// # Errors
-///
-/// Propagates stream errors.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn verify_candidates_chunked<S: RowStream>(
-    stream: &mut S,
-    candidates: &[CandidatePair],
-    chunk_size: usize,
-) -> Result<(Vec<VerifiedPair>, Vec<u32>)> {
-    assert!(chunk_size > 0, "chunk size must be positive");
-    if candidates.len() <= chunk_size {
-        return verify_candidates(stream, candidates);
-    }
-    let mut verified = Vec::with_capacity(candidates.len());
-    let mut column_counts = vec![0u32; stream.n_cols() as usize];
-    for (idx, chunk) in candidates.chunks(chunk_size).enumerate() {
-        if idx > 0 {
-            stream.reset()?;
-        }
-        let (mut part, counts) = verify_candidates(stream, chunk)?;
-        verified.append(&mut part);
-        column_counts = counts;
-    }
-    verified.sort_by_key(|p| (p.i, p.j));
-    Ok((verified, column_counts))
-}
-
-/// Parallel verification over an in-memory matrix: rows are dealt out
-/// dynamically across `n_threads` workers, each counting intersections and
-/// column cardinalities for its row ranges; the partial counts sum exactly.
-///
-/// Output is identical to [`verify_candidates`]. Convenience wrapper over
-/// a one-shot pool; pipeline code reuses a pool across phases via
-/// [`verify_candidates_pool`].
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-#[must_use]
-pub fn verify_candidates_parallel(
-    matrix: &sfa_matrix::RowMajorMatrix,
-    candidates: &[CandidatePair],
-    n_threads: usize,
-) -> (Vec<VerifiedPair>, Vec<u32>) {
-    assert!(n_threads > 0, "need at least one thread");
-    verify_candidates_pool(matrix, candidates, &sfa_par::ThreadPool::new(n_threads))
-}
-
-/// Pool-based [`verify_candidates_parallel`]: the partner adjacency is
-/// built once, row ranges are dealt out dynamically, and per-worker
-/// `(intersections, column_counts)` vectors add exactly.
-#[must_use]
-pub fn verify_candidates_pool(
-    matrix: &sfa_matrix::RowMajorMatrix,
-    candidates: &[CandidatePair],
-    pool: &sfa_par::ThreadPool,
-) -> (Vec<VerifiedPair>, Vec<u32>) {
-    let n = matrix.n_rows() as usize;
-    let m = matrix.n_cols() as usize;
-    if pool.threads() == 1 || n < 2 {
-        let mut stream = sfa_matrix::MemoryRowStream::new(matrix);
-        return verify_candidates(&mut stream, candidates).expect("memory stream cannot fail");
-    }
-    let partners = PartnerAdjacency::new(m, candidates);
-    let partners = &partners;
-    let partials = pool.par_fold(
-        n,
-        pool.chunk_for(n),
-        |_| (vec![0u32; candidates.len()], vec![0u32; m], vec![false; m]),
-        |(intersections, column_counts, present), rows| {
-            for row_id in rows {
-                let row = matrix.row(row_id as u32);
-                for &col in row {
-                    present[col as usize] = true;
-                }
-                for &col in row {
-                    column_counts[col as usize] += 1;
-                    for &(partner, idx) in partners.partners_of(col) {
-                        if partner > col && present[partner as usize] {
-                            intersections[idx as usize] += 1;
-                        }
-                    }
-                }
-                for &col in row {
-                    present[col as usize] = false;
-                }
-            }
-        },
-    );
-
-    let mut intersections = vec![0u32; candidates.len()];
-    let mut column_counts = vec![0u32; m];
-    for (inter, counts, _) in partials {
-        for (acc, v) in intersections.iter_mut().zip(&inter) {
-            *acc += v;
-        }
-        for (acc, v) in column_counts.iter_mut().zip(&counts) {
-            *acc += v;
-        }
-    }
-    let verified = assemble_verified(candidates, &intersections, &column_counts);
-    (verified, column_counts)
-}
-
 /// Memory budget for the in-memory fast path: the materialized hybrid
 /// containers for the candidate-touched columns may use at most this
 /// much payload. The charge is the *actual* container bytes
@@ -388,7 +271,7 @@ pub struct InMemoryKernelReport {
 
 /// In-memory phase 3: verifies candidates directly against a resident
 /// [`SparseMatrix`] (the column-major transpose of the table) instead of
-/// re-scanning rows.
+/// re-scanning rows, and reports what the kernel layer did.
 ///
 /// Column counts are read off the CSC structure; per-candidate
 /// intersections dispatch through roaring-style hybrid containers
@@ -399,50 +282,13 @@ pub struct InMemoryKernelReport {
 /// AND-popcount through the SIMD-dispatched
 /// [`sfa_matrix::kernel`] layer). If the containers would exceed
 /// [`IN_MEMORY_CONTAINER_CAP_BYTES`], each pair falls back to the
-/// adaptive merge/gallop/bitmap kernel on the CSC slices.
+/// adaptive merge/gallop/bitmap kernel on the CSC slices. Candidates are
+/// dealt out dynamically over `pool` (small lists stay on the caller
+/// thread); each intersection is written by exactly one worker.
 ///
 /// Output is identical to [`verify_candidates`] over a fault-free stream
 /// of the same table: both compute the exact `|C_i ∩ C_j|` and `|C_j|`
 /// integers and share the final [`VerifiedPair`] assembly.
-#[must_use]
-pub fn verify_candidates_in_memory(
-    columns: &SparseMatrix,
-    candidates: &[CandidatePair],
-) -> (Vec<VerifiedPair>, Vec<u32>) {
-    let (verified, column_counts, _) = verify_candidates_in_memory_with_report(columns, candidates);
-    (verified, column_counts)
-}
-
-/// [`verify_candidates_in_memory`] plus the kernel-layer report.
-#[must_use]
-pub fn verify_candidates_in_memory_with_report(
-    columns: &SparseMatrix,
-    candidates: &[CandidatePair],
-) -> (Vec<VerifiedPair>, Vec<u32>, InMemoryKernelReport) {
-    let column_counts = csc_column_counts(columns);
-    let (intersections, report) =
-        in_memory_intersections(columns, candidates, None, IN_MEMORY_CONTAINER_CAP_BYTES);
-    let verified = assemble_verified(candidates, &intersections, &column_counts);
-    (verified, column_counts, report)
-}
-
-/// Pool-based [`verify_candidates_in_memory`]: candidates are dealt out
-/// dynamically; each worker counts its share against the shared
-/// containers. Identical output (each intersection is written by exactly
-/// one worker). Small candidate lists stay on the caller thread (the
-/// pool's serial cutoff).
-#[must_use]
-pub fn verify_candidates_in_memory_pool(
-    columns: &SparseMatrix,
-    candidates: &[CandidatePair],
-    pool: &sfa_par::ThreadPool,
-) -> (Vec<VerifiedPair>, Vec<u32>) {
-    let (verified, column_counts, _) =
-        verify_candidates_in_memory_pool_with_report(columns, candidates, pool);
-    (verified, column_counts)
-}
-
-/// [`verify_candidates_in_memory_pool`] plus the kernel-layer report.
 #[must_use]
 pub fn verify_candidates_in_memory_pool_with_report(
     columns: &SparseMatrix,
@@ -450,12 +296,8 @@ pub fn verify_candidates_in_memory_pool_with_report(
     pool: &sfa_par::ThreadPool,
 ) -> (Vec<VerifiedPair>, Vec<u32>, InMemoryKernelReport) {
     let column_counts = csc_column_counts(columns);
-    let (intersections, report) = in_memory_intersections(
-        columns,
-        candidates,
-        Some(pool),
-        IN_MEMORY_CONTAINER_CAP_BYTES,
-    );
+    let (intersections, report) =
+        in_memory_intersections(columns, candidates, pool, IN_MEMORY_CONTAINER_CAP_BYTES);
     let verified = assemble_verified(candidates, &intersections, &column_counts);
     (verified, column_counts, report)
 }
@@ -469,13 +311,13 @@ fn csc_column_counts(columns: &SparseMatrix) -> Vec<u32> {
 
 /// Per-candidate exact intersections via subset hybrid containers (or
 /// the adaptive per-pair kernel when the containers would bust the
-/// memory cap), serial or pool-parallel over candidates. The cap is a
+/// memory cap), pool-parallel over candidates. The cap is a
 /// parameter so tests can pin the accounting; production callers pass
 /// [`IN_MEMORY_CONTAINER_CAP_BYTES`].
 fn in_memory_intersections(
     columns: &SparseMatrix,
     candidates: &[CandidatePair],
-    pool: Option<&sfa_par::ThreadPool>,
+    pool: &sfa_par::ThreadPool,
     cap_bytes: usize,
 ) -> (Vec<u32>, InMemoryKernelReport) {
     // Touched columns, deduplicated; slot[t] holds the containers of
@@ -512,30 +354,24 @@ fn in_memory_intersections(
         };
         inter as u32
     };
-    let intersections = match pool {
-        Some(pool) => {
-            // One container (or adaptive) scan per candidate.
-            let words_per_col = sfa_matrix::bitmap::words_for(columns.n_rows());
-            let est_ops = (candidates.len() as u64).saturating_mul(words_per_col as u64);
-            let chunks = pool.par_fold_bounded(
-                candidates.len(),
-                pool.chunk_for(candidates.len()),
-                est_ops,
-                |_| Vec::new(),
-                |acc: &mut Vec<(usize, u32)>, range| {
-                    for idx in range {
-                        acc.push((idx, intersect(&candidates[idx])));
-                    }
-                },
-            );
-            let mut intersections = vec![0u32; candidates.len()];
-            for (idx, inter) in chunks.into_iter().flatten() {
-                intersections[idx] = inter;
+    // One container (or adaptive) scan per candidate.
+    let words_per_col = sfa_matrix::bitmap::words_for(columns.n_rows());
+    let est_ops = (candidates.len() as u64).saturating_mul(words_per_col as u64);
+    let chunks = pool.par_fold_bounded(
+        candidates.len(),
+        pool.chunk_for(candidates.len()),
+        est_ops,
+        |_| Vec::new(),
+        |acc: &mut Vec<(usize, u32)>, range| {
+            for idx in range {
+                acc.push((idx, intersect(&candidates[idx])));
             }
-            intersections
-        }
-        None => candidates.iter().map(intersect).collect(),
-    };
+        },
+    );
+    let mut intersections = vec![0u32; candidates.len()];
+    for (idx, inter) in chunks.into_iter().flatten() {
+        intersections[idx] = inter;
+    }
     (intersections, report)
 }
 
@@ -612,30 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_matches_unchunked() {
-        let m = matrix();
-        let candidates = vec![
-            CandidatePair::new(0, 1, 0.9),
-            CandidatePair::new(0, 2, 0.4),
-            CandidatePair::new(0, 3, 0.1),
-            CandidatePair::new(1, 2, 0.2),
-            CandidatePair::new(2, 3, 0.5),
-        ];
-        let (full, counts_full) =
-            verify_candidates(&mut MemoryRowStream::new(&m), &candidates).unwrap();
-        for chunk_size in [1, 2, 3, 5, 100] {
-            let (chunked, counts) =
-                verify_candidates_chunked(&mut MemoryRowStream::new(&m), &candidates, chunk_size)
-                    .unwrap();
-            assert_eq!(chunked, full, "chunk_size {chunk_size}");
-            assert_eq!(counts, counts_full);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // A larger striped matrix so every thread sees real work.
-        let rows: Vec<Vec<u32>> = (0..500u32)
+    fn in_memory_matches_streaming() {
+        // The small fixture plus a larger striped matrix checked on every
+        // pair, so every worker sees real work.
+        let striped: Vec<Vec<u32>> = (0..500u32)
             .map(|i| {
                 let mut v = vec![i % 8, (i * 3 + 1) % 8];
                 v.sort_unstable();
@@ -643,46 +459,42 @@ mod tests {
                 v
             })
             .collect();
-        let m = RowMajorMatrix::from_rows(8, rows).unwrap();
-        let candidates: Vec<CandidatePair> = (0..8u32)
-            .flat_map(|i| ((i + 1)..8).map(move |j| CandidatePair::new(i, j, 0.5)))
-            .collect();
-        let (seq, counts_seq) =
-            verify_candidates(&mut MemoryRowStream::new(&m), &candidates).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let (par, counts_par) = verify_candidates_parallel(&m, &candidates, threads);
-            assert_eq!(par, seq, "threads = {threads}");
-            assert_eq!(counts_par, counts_seq);
-        }
-    }
-
-    #[test]
-    fn in_memory_matches_streaming() {
-        let m = matrix();
-        let candidates = vec![
-            CandidatePair::new(0, 1, 0.9),
-            CandidatePair::new(0, 2, 0.4),
-            CandidatePair::new(1, 3, 0.3),
-            CandidatePair::new(2, 3, 0.5),
+        let cases = [
+            (
+                matrix(),
+                vec![
+                    CandidatePair::new(0, 1, 0.9),
+                    CandidatePair::new(0, 2, 0.4),
+                    CandidatePair::new(1, 3, 0.3),
+                    CandidatePair::new(2, 3, 0.5),
+                ],
+            ),
+            (
+                RowMajorMatrix::from_rows(8, striped).unwrap(),
+                (0..8u32)
+                    .flat_map(|i| ((i + 1)..8).map(move |j| CandidatePair::new(i, j, 0.5)))
+                    .collect(),
+            ),
         ];
-        let (stream_v, stream_c) =
-            verify_candidates(&mut MemoryRowStream::new(&m), &candidates).unwrap();
-        let csc = m.transpose();
-        let (mem_v, mem_c) = verify_candidates_in_memory(&csc, &candidates);
-        assert_eq!(mem_v, stream_v);
-        assert_eq!(mem_c, stream_c);
-        for threads in [1, 2, 4] {
-            let pool = sfa_par::ThreadPool::new(threads);
-            let (pv, pc) = verify_candidates_in_memory_pool(&csc, &candidates, &pool);
-            assert_eq!(pv, stream_v, "threads {threads}");
-            assert_eq!(pc, stream_c, "threads {threads}");
+        for (m, candidates) in cases {
+            let (stream_v, stream_c) =
+                verify_candidates(&mut MemoryRowStream::new(&m), &candidates).unwrap();
+            let csc = m.transpose();
+            for threads in [1, 2, 4, 7] {
+                let pool = sfa_par::ThreadPool::new(threads);
+                let (pv, pc, _) =
+                    verify_candidates_in_memory_pool_with_report(&csc, &candidates, &pool);
+                assert_eq!(pv, stream_v, "threads {threads}");
+                assert_eq!(pc, stream_c, "threads {threads}");
+            }
         }
     }
 
     #[test]
     fn in_memory_handles_empty_candidates() {
         let csc = matrix().transpose();
-        let (verified, counts) = verify_candidates_in_memory(&csc, &[]);
+        let pool = sfa_par::ThreadPool::new(1);
+        let (verified, counts, _) = verify_candidates_in_memory_pool_with_report(&csc, &[], &pool);
         assert!(verified.is_empty());
         assert_eq!(counts, vec![3, 3, 2, 3]);
     }
@@ -707,7 +519,8 @@ mod tests {
         // A cap between the two: the old dense accounting would have
         // refused the fast path; the container accounting admits it.
         let cap = dense_bytes / 2;
-        let (inter, report) = in_memory_intersections(&csc, &candidates, None, cap);
+        let pool = sfa_par::ThreadPool::new(1);
+        let (inter, report) = in_memory_intersections(&csc, &candidates, &pool, cap);
         assert!(report.used_containers, "containers fit under {cap}");
         assert_eq!(report.container.container_bytes, container_bytes as u64);
         assert_eq!(report.container.raw_bitmap_bytes, dense_bytes as u64);
@@ -715,7 +528,7 @@ mod tests {
         // Below the actual container bytes the per-pair fallback engages
         // and still produces identical counts.
         let (inter_fb, report_fb) =
-            in_memory_intersections(&csc, &candidates, None, container_bytes - 1);
+            in_memory_intersections(&csc, &candidates, &pool, container_bytes - 1);
         assert!(!report_fb.used_containers);
         assert_eq!(report_fb.container, sfa_matrix::ContainerStats::default());
         assert_eq!(inter, inter_fb);
@@ -723,16 +536,6 @@ mod tests {
             inter[0] as usize,
             sfa_matrix::column::intersection_size(&a, &b)
         );
-    }
-
-    #[test]
-    fn chunked_pass_count_is_ceil_division() {
-        let m = matrix();
-        let candidates: Vec<CandidatePair> =
-            (1..4).map(|j| CandidatePair::new(0, j, 0.5)).collect();
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
-        let _ = verify_candidates_chunked(&mut counter, &candidates, 2).unwrap();
-        assert_eq!(counter.passes(), 2, "3 candidates / chunk 2 = 2 passes");
     }
 
     #[test]

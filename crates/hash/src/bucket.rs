@@ -12,7 +12,11 @@
 //!   [`SparseCounters`].
 //!
 //! [`PairCounter`] packs `(i, j)` column pairs into one `u64` key over a
-//! fast hash map, which is the convenient form for LSH bucket scans.
+//! fast hash map. Every scheme's phase 2 counts through one kernel,
+//! [`count_pairs`]: a bucket table is realized as the sorted runs of equal
+//! `(key, column)` entries ([`count_sorted_runs`]), counted into
+//! per-worker [`ShardedPairCounter`]s that can also be restricted to one
+//! [`PairShard`] under a byte cap for out-of-core passes.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -264,9 +268,20 @@ impl CounterTable {
 /// The shard of a key is a pure function of the key (an fmix64-style
 /// finalizer's low bits), so the same pair lands in the same shard in
 /// every thread-local counter and in the merged result.
+///
+/// A [`restricted`](Self::restricted) counter also admits only one
+/// [`PairShard`] of the pair space and caps its tables' heap: an
+/// increment that would grow the tables past `cap_bytes` instead sets
+/// [`overflowed`](Self::overflowed) and freezes the counter (all further
+/// increments are dropped), so the heap provably never exceeds the cap.
+/// A frozen counter's contents are meaningless — the pass must be
+/// discarded.
 #[derive(Debug)]
 pub struct ShardedPairCounter {
     shards: Vec<CounterTable>,
+    admit: PairShard,
+    cap_bytes: usize,
+    overflowed: bool,
 }
 
 /// fmix64 finalizer (MurmurHash3): used for shard selection so shard
@@ -282,25 +297,88 @@ fn shard_mix(key: u64) -> u64 {
 }
 
 impl ShardedPairCounter {
-    /// Creates a counter with `n_shards` (rounded up to a power of two).
+    /// Creates a counter with `n_shards` (rounded up to a power of two)
+    /// admitting every pair, uncapped.
     #[must_use]
     pub fn new(n_shards: usize) -> Self {
+        Self::restricted(n_shards, PairShard::all(), usize::MAX)
+    }
+
+    /// A counter admitting only `admit`'s pairs, with its tables' heap
+    /// capped at `cap_bytes`.
+    #[must_use]
+    pub(crate) fn restricted(n_shards: usize, admit: PairShard, cap_bytes: usize) -> Self {
         let n = n_shards.next_power_of_two().max(1);
         Self {
             shards: (0..n).map(|_| CounterTable::new()).collect(),
+            admit,
+            cap_bytes,
+            overflowed: false,
         }
     }
 
-    /// Reassembles a counter from per-shard tables (the parallel-merge
-    /// path). `shards.len()` must be a power of two and every key must
-    /// already be in its [`Self::shard_of`] shard.
+    /// Reassembles an unrestricted counter from per-shard tables (the
+    /// parallel-merge path). `shards.len()` must be a power of two and
+    /// every key must already be in its [`Self::shard_of`] shard.
     #[must_use]
     pub fn from_shards(shards: Vec<CounterTable>) -> Self {
         assert!(
             shards.len().is_power_of_two(),
             "shard count not a power of two"
         );
-        Self { shards }
+        Self {
+            shards,
+            admit: PairShard::all(),
+            cap_bytes: usize::MAX,
+            overflowed: false,
+        }
+    }
+
+    /// Whether increments pay for shard admission and the byte cap.
+    #[inline]
+    fn is_restricted(&self) -> bool {
+        self.admit.n_shards > 1 || self.cap_bytes != usize::MAX
+    }
+
+    /// Increments `key` if the admitted shard holds it and the cap allows.
+    #[inline]
+    fn add_restricted(&mut self, key: u64) {
+        if self.overflowed || !self.admit.admits_key(key) {
+            return;
+        }
+        let s = self.shard_of(key);
+        let table = &self.shards[s];
+        // `add` checks the ¾-load condition before probing, so predicting
+        // the grow here guarantees the tables never allocate past the cap.
+        if table.would_grow()
+            && self.heap_bytes() - table.heap_bytes() + table.bytes_after_grow() > self.cap_bytes
+        {
+            self.overflowed = true;
+            return;
+        }
+        self.shards[s].add(key, 1);
+    }
+
+    /// Whether a restricted counter hit its cap (the pass must be
+    /// discarded).
+    #[must_use]
+    pub fn overflowed(&self) -> bool {
+        self.overflowed
+    }
+
+    /// Heap bytes held by all shard tables.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.shards.iter().map(CounterTable::heap_bytes).sum()
+    }
+
+    /// The pass outcome to report to a sharded driver.
+    #[must_use]
+    pub fn outcome(&self) -> ShardPassOutcome {
+        ShardPassOutcome {
+            overflowed: self.overflowed,
+            counter_bytes: self.heap_bytes(),
+        }
     }
 
     /// Number of shards.
@@ -336,7 +414,8 @@ impl ShardedPairCounter {
         self.shards[s].add(key, count);
     }
 
-    /// Increments the counter for the unordered pair `{a, b}`.
+    /// Increments the counter for the unordered pair `{a, b}` (subject to
+    /// a restricted counter's admission and cap).
     #[inline]
     pub fn increment(&mut self, a: u32, b: u32) {
         debug_assert_ne!(a, b, "self-pair");
@@ -345,7 +424,11 @@ impl ShardedPairCounter {
         } else {
             pack_pair(b, a)
         };
-        self.add_key(key, 1);
+        if self.is_restricted() {
+            self.add_restricted(key);
+        } else {
+            self.add_key(key, 1);
+        }
     }
 
     /// Current count for the unordered pair `{a, b}`.
@@ -445,10 +528,12 @@ pub fn merge_sharded(
 /// `s` contributes `C(s, 2)` pair increments to `counter` plus (when
 /// `s >= min_hist_run`) one entry to the occupancy histogram `hist[s]`.
 ///
-/// Sorting the occupants once per table replaces per-element hash-map
-/// probing in the bucket-build step, and makes the scan a cache-friendly
-/// linear walk. Returns the number of counter increments performed —
-/// exactly what the incremental Hash-Count structure would have done.
+/// This realizes the §3.1 Hash-Count bucket table: sorting the occupants
+/// once per table replaces per-element hash-map probing, and makes the
+/// scan a cache-friendly linear walk. Returns the number of attempted
+/// counter increments — exactly what the incremental Hash-Count
+/// structure would have done, whatever a restricted counter admits.
+/// A column may occur at most once per key.
 pub fn count_sorted_runs(
     entries: &[(u64, u32)],
     counter: &mut ShardedPairCounter,
@@ -459,6 +544,27 @@ pub fn count_sorted_runs(
         entries.windows(2).all(|w| w[0] <= w[1]),
         "entries not sorted"
     );
+    // Hoisted out of the pair loop: an unrestricted counter pays no
+    // per-increment admission or cap check.
+    if counter.is_restricted() {
+        scan_runs(entries, hist, min_hist_run, |key| {
+            counter.add_restricted(key)
+        })
+    } else {
+        scan_runs(entries, hist, min_hist_run, |key| counter.add_key(key, 1))
+    }
+}
+
+/// The run walk behind [`count_sorted_runs`], monomorphized per counter
+/// mode. Columns ascend within a run, so each pair packs as `(earlier,
+/// later)` directly.
+#[inline(always)]
+fn scan_runs(
+    entries: &[(u64, u32)],
+    hist: &mut Vec<u64>,
+    min_hist_run: usize,
+    mut bump: impl FnMut(u64),
+) -> u64 {
     let mut increments = 0u64;
     let mut start = 0;
     while start < entries.len() {
@@ -476,13 +582,149 @@ pub fn count_sorted_runs(
         }
         for (a, &(_, cj)) in run.iter().enumerate().skip(1) {
             for &(_, ci) in &run[..a] {
-                counter.increment(ci, cj);
+                bump(pack_pair(ci, cj));
                 increments += 1;
             }
         }
         start = end;
     }
     increments
+}
+
+/// How a phase-2 counting pass splits its work for [`count_pairs`].
+#[derive(Debug, Clone, Copy)]
+pub struct TaskPlan {
+    /// Number of tasks (signature rows, iterations, runs, buckets).
+    pub tasks: usize,
+    /// Tasks a worker claims at a time.
+    pub chunk: usize,
+    /// Estimated elementary operations of the whole pass; below the
+    /// pool's serial cutoff the pass stays on the caller thread.
+    pub scan_ops: u64,
+    /// Smallest bucket the occupancy histogram records: 1 for bucket
+    /// tables, 2 for Row-Sorting's runs.
+    pub min_hist_run: usize,
+}
+
+/// One worker's state in [`count_pairs`]: its counter, histogram and
+/// increment tally, plus a scratch buffer for tasks that build their own
+/// `(bucket key, column)` entries.
+#[derive(Debug)]
+pub struct RunCounter {
+    counter: ShardedPairCounter,
+    hist: Vec<u64>,
+    increments: u64,
+    min_hist_run: usize,
+    /// Scratch entries for [`Self::count_buf`].
+    pub buf: Vec<(u64, u32)>,
+}
+
+impl RunCounter {
+    /// Counts the runs of `entries`, sorted by `(key, column)`.
+    pub fn count(&mut self, entries: &[(u64, u32)]) {
+        self.increments += count_sorted_runs(
+            entries,
+            &mut self.counter,
+            &mut self.hist,
+            self.min_hist_run,
+        );
+    }
+
+    /// Sorts [`Self::buf`] and counts its runs.
+    pub fn count_buf(&mut self) {
+        self.buf.sort_unstable();
+        self.increments += count_sorted_runs(
+            &self.buf,
+            &mut self.counter,
+            &mut self.hist,
+            self.min_hist_run,
+        );
+    }
+}
+
+/// What one phase-2 counting pass produced.
+#[derive(Debug)]
+pub struct PairCounts {
+    /// Per-pair bucket co-occurrence counts (admitted pairs only).
+    pub counter: ShardedPairCounter,
+    /// `bucket_histogram[s]` = buckets holding exactly `s` columns.
+    pub bucket_histogram: Vec<u64>,
+    /// Attempted counter increments — the paper's `O(k S̄ m²)` work term.
+    pub increments: u64,
+}
+
+impl PairCounts {
+    /// The pass outcome to report to a sharded driver.
+    #[must_use]
+    pub fn outcome(&self) -> ShardPassOutcome {
+        self.counter.outcome()
+    }
+}
+
+/// The phase-2 counting kernel every scheme shares: `task(t, local)` puts
+/// task `t`'s buckets into `local` as sorted runs ([`RunCounter::count`]
+/// or [`RunCounter::count_buf`]); tasks are dealt out dynamically over
+/// `pool`, and the per-worker counters merge shard-parallel.
+///
+/// Only pairs in `shard` are counted. A bounded `cap_bytes` runs on one
+/// worker into one table, stops at the first task after an overflow, and
+/// reports it through [`PairCounts::outcome`]; with [`PairShard::all`] and
+/// `usize::MAX` the counter is unrestricted. Counts, histogram and
+/// increments are identical at every worker count.
+pub fn count_pairs<F>(
+    pool: &sfa_par::ThreadPool,
+    shard: PairShard,
+    cap_bytes: usize,
+    plan: TaskPlan,
+    task: F,
+) -> PairCounts
+where
+    F: Fn(usize, &mut RunCounter) + Sync,
+{
+    let bounded = cap_bytes != usize::MAX;
+    // The serial fallback gets the single-worker shard count, so pool size
+    // cannot change the serial path's cache behavior; a cap is enforced
+    // on one table so its overflow point is a property of the pass alone.
+    let scan_ops = if bounded { 0 } else { plan.scan_ops };
+    let workers = if pool.worth_parallel(scan_ops) {
+        pool.threads()
+    } else {
+        1
+    };
+    let shards = if bounded { 1 } else { default_shards(workers) };
+    let locals = pool.par_fold_bounded(
+        plan.tasks,
+        plan.chunk,
+        scan_ops,
+        |_| RunCounter {
+            counter: ShardedPairCounter::restricted(shards, shard, cap_bytes),
+            hist: Vec::new(),
+            increments: 0,
+            min_hist_run: plan.min_hist_run,
+            buf: Vec::new(),
+        },
+        |local, tasks| {
+            for t in tasks {
+                if local.counter.overflowed {
+                    break;
+                }
+                task(t, local);
+            }
+        },
+    );
+    let mut bucket_histogram = Vec::new();
+    let mut increments = 0u64;
+    let mut counters = Vec::with_capacity(locals.len());
+    for local in locals {
+        add_hist(&mut bucket_histogram, &local.hist);
+        increments += local.increments;
+        counters.push(local.counter);
+    }
+    PairCounts {
+        counter: merge_sharded(counters, pool),
+        bucket_histogram,
+        increments,
+    }
 }
 
 /// Elementwise histogram accumulation (grows `into` as needed) — the merge
@@ -497,11 +739,9 @@ pub fn add_hist(into: &mut Vec<u64>, from: &[u64]) {
     }
 }
 
-/// A bucket table mapping hash values to the columns containing them.
-///
-/// This is the §3.1 Hash-Count structure: columns are inserted in index
-/// order, and before a column is added its bucket already holds exactly the
-/// earlier columns sharing the value.
+/// A bucket table mapping hash values to the columns containing them, for
+/// lookups by key (the §7 OR-rule probe). Phase-2 counting realizes its
+/// buckets as sorted runs instead ([`count_pairs`]).
 #[derive(Debug, Default)]
 pub struct BucketTable {
     buckets: FastHashMap<u64, Vec<u32>>,
@@ -546,37 +786,11 @@ impl BucketTable {
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty()
     }
-
-    /// Accumulates this table's bucket-occupancy histogram into `hist`:
-    /// `hist[s]` counts buckets holding exactly `s` columns (`hist` grows as
-    /// needed; index 0 stays untouched since empty buckets are never
-    /// stored). Callers pass the same vector across tables to aggregate a
-    /// whole scheme's occupancy profile.
-    pub fn accumulate_occupancy(&self, hist: &mut Vec<u64>) {
-        for cols in self.buckets.values() {
-            let size = cols.len();
-            if hist.len() <= size {
-                hist.resize(size + 1, 0);
-            }
-            hist[size] += 1;
-        }
-    }
-
-    /// Iterates over `(value, columns)` buckets in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u32])> {
-        self.buckets.iter().map(|(&v, cols)| (v, cols.as_slice()))
-    }
-
-    /// Clears all buckets, retaining allocation of the outer map.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-    }
 }
 
-/// Counts occurrences per ordered column pair.
-///
-/// Used by Hash-Count and by the LSH schemes to accumulate, for each pair,
-/// how many signature rows / bands / runs it collided in.
+/// Counts occurrences per ordered column pair on one unsharded table —
+/// the simple form for callers outside phase 2 (the Apriori baseline, the
+/// basket generator).
 #[derive(Debug, Default)]
 pub struct PairCounter {
     counts: CounterTable,
@@ -749,119 +963,6 @@ pub struct ShardPassOutcome {
     pub counter_bytes: usize,
 }
 
-/// A [`PairCounter`] restricted to one [`PairShard`] and a hard byte cap.
-///
-/// Increments for pairs outside the shard are dropped; an increment that
-/// would grow the table past `cap_bytes` instead sets the `overflowed`
-/// flag and freezes the counter (all further increments are dropped), so
-/// the table's heap footprint provably never exceeds the cap. A frozen
-/// counter's contents are meaningless — callers must check
-/// [`Self::overflowed`] and discard the pass.
-#[derive(Debug)]
-pub struct BudgetedPairCounter {
-    counts: CounterTable,
-    shard: PairShard,
-    cap_bytes: usize,
-    overflowed: bool,
-}
-
-impl BudgetedPairCounter {
-    /// An empty counter admitting only `shard`'s pairs, capped at
-    /// `cap_bytes` of table heap.
-    #[must_use]
-    pub fn new(shard: PairShard, cap_bytes: usize) -> Self {
-        Self {
-            counts: CounterTable::new(),
-            shard,
-            cap_bytes,
-            overflowed: false,
-        }
-    }
-
-    /// An uncapped counter admitting every pair — behaves exactly like
-    /// [`PairCounter`], which is what the unsharded generators delegate
-    /// through.
-    #[must_use]
-    pub fn unbounded() -> Self {
-        Self::new(PairShard::all(), usize::MAX)
-    }
-
-    /// Increments the unordered pair `{a, b}` if this shard admits it and
-    /// the budget allows it.
-    #[inline]
-    pub fn increment(&mut self, a: u32, b: u32) {
-        debug_assert_ne!(a, b, "self-pair");
-        let key = if a < b {
-            pack_pair(a, b)
-        } else {
-            pack_pair(b, a)
-        };
-        if !self.shard.admits_key(key) || self.overflowed {
-            return;
-        }
-        // `add` checks the ¾-load condition before probing, so predicting
-        // the grow here guarantees the table never allocates past the cap.
-        if self.counts.would_grow() && self.counts.bytes_after_grow() > self.cap_bytes {
-            self.overflowed = true;
-            return;
-        }
-        self.counts.add(key, 1);
-    }
-
-    /// Whether the budget was exceeded (the pass must be discarded).
-    #[must_use]
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// Current heap bytes of the backing table.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.counts.heap_bytes()
-    }
-
-    /// The pass outcome to report to the driver.
-    #[must_use]
-    pub fn outcome(&self) -> ShardPassOutcome {
-        ShardPassOutcome {
-            overflowed: self.overflowed,
-            counter_bytes: self.counts.heap_bytes(),
-        }
-    }
-
-    /// Number of pairs with a nonzero count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether no pair has been counted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Current count for the unordered pair `{a, b}`.
-    #[must_use]
-    pub fn get(&self, a: u32, b: u32) -> u32 {
-        let key = if a < b {
-            pack_pair(a, b)
-        } else {
-            pack_pair(b, a)
-        };
-        self.counts.get(key)
-    }
-
-    /// Iterates `(i, j, count)` with `i < j`, in arbitrary (but
-    /// insertion-deterministic) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        self.counts.iter().map(|(k, c)| {
-            let (i, j) = unpack_pair(k);
-            (i, j, c)
-        })
-    }
-}
-
 /// Reusable dense counters over `m` slots with `O(touched)` reset.
 ///
 /// The paper's Row-Sorting algorithm keeps one counter per column while
@@ -943,22 +1044,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn occupancy_histogram_counts_bucket_sizes() {
-        let mut table = BucketTable::new();
-        table.insert(1, 0);
-        table.insert(1, 1);
-        table.insert(1, 2);
-        table.insert(2, 3);
-        table.insert(3, 4);
-        let mut hist = Vec::new();
-        table.accumulate_occupancy(&mut hist);
-        assert_eq!(hist, vec![0, 2, 0, 1]);
-        // Accumulating again doubles the counts instead of resetting.
-        table.accumulate_occupancy(&mut hist);
-        assert_eq!(hist, vec![0, 4, 0, 2]);
-    }
-
-    #[test]
     fn pack_unpack_roundtrip() {
         for (i, j) in [(0, 1), (5, 9), (0, u32::MAX), (100, 101)] {
             assert_eq!(unpack_pair(pack_pair(i, j)), (i, j));
@@ -989,15 +1074,6 @@ mod tests {
         assert_eq!(t.bucket(7), &[1]);
         assert_eq!(t.bucket(999), &[] as &[u32]);
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn bucket_table_clear_retains_nothing() {
-        let mut t = BucketTable::with_capacity(16);
-        t.insert(1, 1);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.bucket(1), &[] as &[u32]);
     }
 
     #[test]
@@ -1235,30 +1311,32 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_counter_matches_pair_counter_when_unbounded() {
+    fn restricted_counter_matches_pair_counter_when_unbounded() {
         let mut plain = PairCounter::new();
-        let mut budgeted = BudgetedPairCounter::unbounded();
+        let mut restricted = ShardedPairCounter::restricted(1, PairShard::all(), usize::MAX);
+        let mut capped = ShardedPairCounter::restricted(1, PairShard::all(), 1 << 20);
         for a in 0..40u32 {
             for b in (a + 1)..40 {
                 if (a + b) % 3 == 0 {
                     plain.increment(a, b);
-                    budgeted.increment(a, b);
+                    restricted.increment(a, b);
+                    capped.increment(a, b);
                 }
             }
         }
-        assert!(!budgeted.overflowed());
+        assert!(!capped.overflowed());
         let p: Vec<_> = plain.iter().collect();
-        let b: Vec<_> = budgeted.iter().collect();
         // Same add sequence into the same table type: identical layout,
         // hence identical iteration order, not just identical multisets.
-        assert_eq!(p, b);
+        assert_eq!(restricted.iter().collect::<Vec<_>>(), p);
+        assert_eq!(capped.iter().collect::<Vec<_>>(), p);
     }
 
     #[test]
-    fn budgeted_counter_shards_union_to_unsharded_counts() {
+    fn restricted_counter_shards_union_to_unsharded_counts() {
         let mut plain = PairCounter::new();
-        let mut shards: Vec<BudgetedPairCounter> = (0..4)
-            .map(|s| BudgetedPairCounter::new(PairShard::new(s, 4), usize::MAX))
+        let mut shards: Vec<ShardedPairCounter> = (0..4)
+            .map(|s| ShardedPairCounter::restricted(2, PairShard::new(s, 4), usize::MAX))
             .collect();
         for a in 0..25u32 {
             for b in (a + 1)..25 {
@@ -1270,7 +1348,7 @@ mod tests {
                 }
             }
         }
-        let mut union: Vec<_> = shards.iter().flat_map(BudgetedPairCounter::iter).collect();
+        let mut union: Vec<_> = shards.iter().flat_map(ShardedPairCounter::iter).collect();
         union.sort_unstable();
         let mut expected: Vec<_> = plain.iter().collect();
         expected.sort_unstable();
@@ -1278,10 +1356,10 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_counter_freezes_at_the_cap() {
+    fn restricted_counter_freezes_at_the_cap() {
         // Cap below the minimum 16-slot table: the very first increment
         // must refuse to allocate and freeze the counter.
-        let mut tiny = BudgetedPairCounter::new(PairShard::all(), 100);
+        let mut tiny = ShardedPairCounter::restricted(1, PairShard::all(), 100);
         tiny.increment(0, 1);
         assert!(tiny.overflowed());
         assert!(tiny.is_empty());
@@ -1289,7 +1367,7 @@ mod tests {
 
         // Cap admitting exactly the minimum table: grows to 16 slots
         // (192 bytes) and freezes when the ¾-load grow would pass 384.
-        let mut capped = BudgetedPairCounter::new(PairShard::all(), 192);
+        let mut capped = ShardedPairCounter::restricted(1, PairShard::all(), 192);
         let mut applied = 0u32;
         for j in 1..100u32 {
             capped.increment(0, j);
@@ -1303,5 +1381,8 @@ mod tests {
         // present, so exactly 12 distinct keys fit under the cap.
         assert_eq!(applied, 12);
         assert_eq!(capped.len(), 12);
+        let outcome = capped.outcome();
+        assert!(outcome.overflowed);
+        assert_eq!(outcome.counter_bytes, 192);
     }
 }

@@ -16,10 +16,11 @@
 //! * [`topk`] — a bounded bottom-k tracker (max-heap + membership set) used
 //!   by the K-MH scheme to retain the `k` smallest row hashes per column
 //!   in `O(log k)` per accepted update (paper, §3.2).
-//! * [`bucket`] — hash-count machinery: bucket tables keyed by hash
-//!   values and reusable sparse pair counters, implementing the paper's
-//!   "remember and reinitialize only counters that were incremented"
-//!   trick (§3.1).
+//! * [`bucket`] — hash-count machinery: the phase-2 counting kernel
+//!   every scheme shares (buckets as sorted runs, counted into sharded
+//!   pair counters with optional shard admission and a byte cap) and
+//!   reusable sparse counters, implementing the paper's "remember and
+//!   reinitialize only counters that were incremented" trick (§3.1).
 //! * [`rng`] — deterministic seed derivation so that every experiment in
 //!   the reproduction is replayable from a single `u64` seed.
 
@@ -31,9 +32,9 @@ pub mod tabulation;
 pub mod topk;
 
 pub use bucket::{
-    add_hist, count_sorted_runs, default_shards, merge_sharded, BucketTable, BudgetedPairCounter,
-    CounterTable, FastHashMap, FastHashSet, FxBuildHasher, PairCounter, PairShard,
-    ShardPassOutcome, ShardedPairCounter, SparseCounters,
+    add_hist, count_pairs, count_sorted_runs, default_shards, merge_sharded, BucketTable,
+    CounterTable, FastHashMap, FastHashSet, FxBuildHasher, PairCounter, PairCounts, PairShard,
+    RunCounter, ShardPassOutcome, ShardedPairCounter, SparseCounters, TaskPlan,
 };
 pub use family::{HashFamily, MultiplyShiftFamily, RowHasher};
 pub use mix::{fmix32, fmix64, hash64_with_seed, splitmix64};

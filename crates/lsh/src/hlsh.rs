@@ -10,8 +10,8 @@
 //! shares a bucket in any run at any level.
 
 use sfa_hash::bucket::{
-    add_hist, count_sorted_runs, default_shards, merge_sharded, BucketTable, BudgetedPairCounter,
-    FastHashMap, PairCounter, PairShard, ShardPassOutcome, ShardedPairCounter,
+    count_pairs, pack_pair, FastHashMap, FastHashSet, PairCounts, PairShard, ShardPassOutcome,
+    TaskPlan,
 };
 use sfa_hash::SeedSequence;
 use sfa_matrix::ops::or_fold_random;
@@ -114,21 +114,28 @@ fn sample_distinct_rows(n: u32, r: usize, seq: &mut SeedSequence) -> Vec<u32> {
     pool
 }
 
-/// Per-pair collision counts across all levels and runs.
-#[must_use]
-pub fn hlsh_collision_counts(base: &RowMajorMatrix, params: &HLshParams) -> PairCounter {
-    hlsh_collision_counts_with_histogram(base, params, &mut Vec::new())
+/// A ladder level's prepared work: which columns pass the density gate
+/// and the `l` seeded row samples for its runs (none when no column
+/// passes, so no seeds are consumed there).
+#[derive(Debug)]
+pub(crate) struct LevelPlan {
+    pub(crate) level: usize,
+    pub(crate) gated: Vec<bool>,
+    pub(crate) gated_columns: usize,
+    pub(crate) runs: Vec<Vec<u32>>,
 }
 
-/// [`hlsh_collision_counts`], additionally accumulating the occupancy
-/// histogram of every run's pattern bucket table into `hist`
-/// (`hist[s]` = buckets holding exactly `s` columns).
-#[must_use]
-pub fn hlsh_collision_counts_with_histogram(
-    base: &RowMajorMatrix,
+/// The ladder and its level plans: the one place H-LSH's gate and
+/// row-sampling stream are written. Levels stop once they have fewer
+/// rows than the pattern width.
+///
+/// # Panics
+///
+/// Panics unless `1 <= r <= 64` and `t >= 3`.
+pub(crate) fn level_plans<'a>(
+    base: &'a RowMajorMatrix,
     params: &HLshParams,
-    hist: &mut Vec<u64>,
-) -> PairCounter {
+) -> (DensityLadder<'a>, Vec<LevelPlan>) {
     assert!(
         params.r >= 1 && params.r <= 64,
         "pattern width must be 1..=64"
@@ -136,333 +143,131 @@ pub fn hlsh_collision_counts_with_histogram(
     assert!(params.t >= 3, "density gate needs t >= 3");
     let ladder = DensityLadder::build(base, params.max_levels, params.seed);
     let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let mut counter = PairCounter::new();
     let lo_gate = 1.0 / f64::from(params.t);
     let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-
+    let mut plans = Vec::new();
     for level in 0..ladder.n_levels() {
         let matrix = ladder.level(level);
         let n = matrix.n_rows();
         if (n as usize) < params.r {
             break;
         }
-        let counts = matrix.column_counts();
         // A column participates only inside the density gate.
-        let gated: Vec<bool> = counts
+        let gated: Vec<bool> = matrix
+            .column_counts()
             .iter()
             .map(|&c| {
                 let d = f64::from(c) / f64::from(n);
                 d > lo_gate && d < hi_gate
             })
             .collect();
-        if !gated.iter().any(|&g| g) {
-            continue;
-        }
-        for _run in 0..params.l {
-            let rows = sample_distinct_rows(n, params.r, &mut seq);
-            // Sparse pattern assembly: only columns present in a sampled
-            // row get bits.
-            let mut patterns: FastHashMap<u32, u64> = FastHashMap::default();
-            for (bit, &row) in rows.iter().enumerate() {
-                for &col in matrix.row(row) {
-                    if gated[col as usize] {
-                        *patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                    }
-                }
-            }
-            let mut table = BucketTable::with_capacity(patterns.len());
-            for (&col, &bits) in &patterns {
-                table.insert(bits, col);
-            }
-            if params.include_zero_keys {
-                for (col, &g) in gated.iter().enumerate() {
-                    if g && !patterns.contains_key(&(col as u32)) {
-                        table.insert(0, col as u32);
-                    }
-                }
-            }
-            table.accumulate_occupancy(hist);
-            for (_, bucket) in table.iter() {
-                // Buckets are unordered; sort for deterministic pairing.
-                let mut cols = bucket.to_vec();
-                cols.sort_unstable();
-                for (a, &ci) in cols.iter().enumerate() {
-                    for &cj in &cols[a + 1..] {
-                        counter.increment(ci, cj);
-                    }
-                }
+        let gated_columns = gated.iter().filter(|&&g| g).count();
+        let runs = if gated_columns == 0 {
+            Vec::new()
+        } else {
+            (0..params.l)
+                .map(|_| sample_distinct_rows(n, params.r, &mut seq))
+                .collect()
+        };
+        plans.push(LevelPlan {
+            level,
+            gated,
+            gated_columns,
+            runs,
+        });
+    }
+    (ladder, plans)
+}
+
+/// Fills `buf` with one run's `(pattern, column)` entries, unsorted: each
+/// gated column's bits over the sampled `rows`, plus (with
+/// `include_zero_keys`) the all-zero pattern for gated columns absent
+/// from every sampled row.
+fn run_entries(
+    matrix: &RowMajorMatrix,
+    plan: &LevelPlan,
+    rows: &[u32],
+    include_zero_keys: bool,
+    buf: &mut Vec<(u64, u32)>,
+) {
+    // Sparse pattern assembly: only columns present in a sampled row get
+    // bits.
+    let mut patterns: FastHashMap<u32, u64> = FastHashMap::default();
+    for (bit, &row) in rows.iter().enumerate() {
+        for &col in matrix.row(row) {
+            if plan.gated[col as usize] {
+                *patterns.entry(col).or_insert(0) |= 1u64 << bit;
             }
         }
     }
-    counter
+    buf.clear();
+    buf.extend(patterns.iter().map(|(&col, &bits)| (bits, col)));
+    if include_zero_keys {
+        for (col, &g) in plan.gated.iter().enumerate() {
+            if g && !patterns.contains_key(&(col as u32)) {
+                buf.push((0, col as u32));
+            }
+        }
+    }
 }
 
-/// H-LSH candidate generation: pairs colliding at least once, with
-/// `estimate = collisions / (levels·runs)` as a crude score.
-#[must_use]
-pub fn hlsh_candidates(base: &RowMajorMatrix, params: &HLshParams) -> Vec<CandidatePair> {
-    let counts = hlsh_collision_counts(base, params);
-    let total_runs = (params.max_levels * params.l) as f64;
-    let mut out: Vec<CandidatePair> = counts
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / total_runs))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    out
-}
-
-/// [`hlsh_candidates`] plus instrumentation: the `colliding-pairs` /
-/// `emitted` counters and the aggregated bucket-occupancy histogram over
-/// every run at every ladder level.
-#[must_use]
-pub fn hlsh_candidates_with_stats(
-    base: &RowMajorMatrix,
-    params: &HLshParams,
-) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) = hlsh_candidates_sharded(base, params, PairShard::all(), usize::MAX);
-    (out, stats)
-}
-
-/// One budgeted shard pass of [`hlsh_candidates_with_stats`]: only pairs
-/// in `shard` are counted and the collision counter's heap is capped at
-/// `cap_bytes`. The ladder, the density gates, and the sampled row
-/// patterns are all independent of the pair filter, so per-shard
-/// collision counts equal the unsharded counts and the union over a full
-/// partition is exactly the unsharded candidate set; with
-/// [`PairShard::all`] and an unbounded cap the output is byte-identical
-/// to the unsharded generator (which delegates here). On overflow the
-/// pass aborts with an empty candidate list and `overflowed` set.
+/// Per-pair collision counts across all levels and runs, for the pairs in
+/// `shard` under `cap_bytes`, with every run's pattern-bucket occupancy
+/// in the histogram. The ladder and the seeded sampling stream are built
+/// sequentially; the independent (level, run) bucket scans are dealt out
+/// dynamically over `pool`.
 ///
 /// # Panics
 ///
-/// Panics on the same parameter violations as
-/// [`hlsh_collision_counts_with_histogram`].
+/// Panics unless `1 <= r <= 64` and `t >= 3`.
 #[must_use]
-pub fn hlsh_candidates_sharded(
+pub fn hlsh_collision_counts(
     base: &RowMajorMatrix,
     params: &HLshParams,
     shard: PairShard,
     cap_bytes: usize,
-) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    assert!(
-        params.r >= 1 && params.r <= 64,
-        "pattern width must be 1..=64"
-    );
-    assert!(params.t >= 3, "density gate needs t >= 3");
-    let mut stats = CandidateGenStats::default();
-    let ladder = DensityLadder::build(base, params.max_levels, params.seed);
-    let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let lo_gate = 1.0 / f64::from(params.t);
-    let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-
-    'levels: for level in 0..ladder.n_levels() {
-        let matrix = ladder.level(level);
-        let n = matrix.n_rows();
-        if (n as usize) < params.r {
-            break;
-        }
-        let counts = matrix.column_counts();
-        // A column participates only inside the density gate.
-        let gated: Vec<bool> = counts
-            .iter()
-            .map(|&c| {
-                let d = f64::from(c) / f64::from(n);
-                d > lo_gate && d < hi_gate
-            })
-            .collect();
-        if !gated.iter().any(|&g| g) {
-            continue;
-        }
-        for _run in 0..params.l {
-            if counter.overflowed() {
-                break 'levels;
-            }
-            let rows = sample_distinct_rows(n, params.r, &mut seq);
-            // Sparse pattern assembly: only columns present in a sampled
-            // row get bits.
-            let mut patterns: FastHashMap<u32, u64> = FastHashMap::default();
-            for (bit, &row) in rows.iter().enumerate() {
-                for &col in matrix.row(row) {
-                    if gated[col as usize] {
-                        *patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                    }
-                }
-            }
-            let mut table = BucketTable::with_capacity(patterns.len());
-            for (&col, &bits) in &patterns {
-                table.insert(bits, col);
-            }
-            if params.include_zero_keys {
-                for (col, &g) in gated.iter().enumerate() {
-                    if g && !patterns.contains_key(&(col as u32)) {
-                        table.insert(0, col as u32);
-                    }
-                }
-            }
-            table.accumulate_occupancy(&mut stats.bucket_histogram);
-            for (_, bucket) in table.iter() {
-                // Buckets are unordered; sort for deterministic pairing.
-                let mut cols = bucket.to_vec();
-                cols.sort_unstable();
-                for (a, &ci) in cols.iter().enumerate() {
-                    for &cj in &cols[a + 1..] {
-                        counter.increment(ci, cj);
-                    }
-                }
-            }
-        }
-    }
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("colliding-pairs", counter.len() as u64);
-    let total_runs = (params.max_levels * params.l) as f64;
-    let mut out: Vec<CandidatePair> = counter
+    pool: &ThreadPool,
+) -> PairCounts {
+    let (ladder, plans) = level_plans(base, params);
+    let tasks: Vec<(&LevelPlan, &[u32])> = plans
         .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / total_runs))
+        .flat_map(|plan| plan.runs.iter().map(move |rows| (plan, rows.as_slice())))
         .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("emitted", out.len() as u64);
-    (out, stats, outcome)
+    let task_plan = TaskPlan {
+        tasks: tasks.len(),
+        chunk: 1,
+        scan_ops: (tasks.len() as u64).saturating_mul(u64::from(base.n_cols())),
+        min_hist_run: 1,
+    };
+    count_pairs(pool, shard, cap_bytes, task_plan, |t, local| {
+        let (plan, rows) = tasks[t];
+        let matrix = ladder.level(plan.level);
+        run_entries(matrix, plan, rows, params.include_zero_keys, &mut local.buf);
+        local.count_buf();
+    })
 }
 
-/// A ladder level's prepared work: which columns pass the density gate and
-/// the `l` seeded row samples for its runs.
-struct HlshLevelPlan {
-    level: usize,
-    gated: Vec<bool>,
-    runs: Vec<Vec<u32>>,
-}
-
-/// Per-worker state for the parallel (level, run) bucket scans.
-struct HlshLocal {
-    counter: ShardedPairCounter,
-    hist: Vec<u64>,
-    buf: Vec<(u64, u32)>,
-    patterns: FastHashMap<u32, u64>,
-}
-
-/// Pool-based [`hlsh_candidates_with_stats`]: the ladder construction and
-/// the seeded sampling stream stay sequential (so the row samples — and
-/// hence the output — are byte-identical to the sequential scan), then the
-/// independent (level, run) bucket scans are dealt out dynamically over
-/// the pool.
+/// H-LSH candidate generation: pairs colliding at least once, with
+/// `estimate = collisions / (levels·runs)` as a crude score, the
+/// `colliding-pairs` / `emitted` counters and the aggregated occupancy
+/// histogram over every run at every ladder level. The ladder, gates and
+/// samples are independent of the pair filter, so the union over a full
+/// [`PairShard`] partition is exactly the unsharded candidate set; on
+/// overflow the pass aborts with no candidates and `overflowed` set.
 ///
 /// # Panics
 ///
-/// Panics on the same parameter violations as
-/// [`hlsh_collision_counts_with_histogram`].
+/// Panics on the same parameter violations as [`hlsh_collision_counts`].
 #[must_use]
-pub fn hlsh_candidates_with_stats_pool(
+pub fn hlsh_candidates(
     base: &RowMajorMatrix,
     params: &HLshParams,
+    shard: PairShard,
+    cap_bytes: usize,
     pool: &ThreadPool,
-) -> (Vec<CandidatePair>, CandidateGenStats) {
-    if pool.threads() == 1 {
-        return hlsh_candidates_with_stats(base, params);
-    }
-    assert!(
-        params.r >= 1 && params.r <= 64,
-        "pattern width must be 1..=64"
-    );
-    assert!(params.t >= 3, "density gate needs t >= 3");
-    let ladder = DensityLadder::build(base, params.max_levels, params.seed);
-    let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let lo_gate = 1.0 / f64::from(params.t);
-    let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-    let mut plans: Vec<HlshLevelPlan> = Vec::new();
-    for level in 0..ladder.n_levels() {
-        let matrix = ladder.level(level);
-        let n = matrix.n_rows();
-        if (n as usize) < params.r {
-            break;
-        }
-        let counts = matrix.column_counts();
-        let gated: Vec<bool> = counts
-            .iter()
-            .map(|&c| {
-                let d = f64::from(c) / f64::from(n);
-                d > lo_gate && d < hi_gate
-            })
-            .collect();
-        if !gated.iter().any(|&g| g) {
-            // No seeds are consumed here, matching the sequential scan.
-            continue;
-        }
-        let runs: Vec<Vec<u32>> = (0..params.l)
-            .map(|_| sample_distinct_rows(n, params.r, &mut seq))
-            .collect();
-        plans.push(HlshLevelPlan { level, gated, runs });
-    }
-    let tasks: Vec<(usize, usize)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(p, plan)| (0..plan.runs.len()).map(move |r| (p, r)))
-        .collect();
-    let ladder = &ladder;
-    let plans = &plans;
-    let tasks = &tasks;
-    let shards = default_shards(pool.threads());
-    let locals = pool.par_fold(
-        tasks.len(),
-        1,
-        |_| HlshLocal {
-            counter: ShardedPairCounter::new(shards),
-            hist: Vec::new(),
-            buf: Vec::new(),
-            patterns: FastHashMap::default(),
-        },
-        |local, range| {
-            for idx in range {
-                let (p, run) = tasks[idx];
-                let plan = &plans[p];
-                let matrix = ladder.level(plan.level);
-                local.patterns.clear();
-                for (bit, &row) in plan.runs[run].iter().enumerate() {
-                    for &col in matrix.row(row) {
-                        if plan.gated[col as usize] {
-                            *local.patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                        }
-                    }
-                }
-                local.buf.clear();
-                for (&col, &bits) in &local.patterns {
-                    local.buf.push((bits, col));
-                }
-                if params.include_zero_keys {
-                    for (col, &g) in plan.gated.iter().enumerate() {
-                        if g && !local.patterns.contains_key(&(col as u32)) {
-                            local.buf.push((0, col as u32));
-                        }
-                    }
-                }
-                local.buf.sort_unstable();
-                let _ = count_sorted_runs(&local.buf, &mut local.counter, &mut local.hist, 1);
-            }
-        },
-    );
-    let mut hist = Vec::new();
-    let mut counters = Vec::with_capacity(locals.len());
-    for local in locals {
-        add_hist(&mut hist, &local.hist);
-        counters.push(local.counter);
-    }
-    let counter = merge_sharded(counters, pool);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("colliding-pairs", counter.len() as u64);
-    let total_runs = (params.max_levels * params.l) as f64;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / total_runs))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("emitted", out.len() as u64);
-    (out, stats)
+) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
+    let counts = hlsh_collision_counts(base, params, shard, cap_bytes, pool);
+    crate::mlsh::collision_candidates(counts, (params.max_levels * params.l) as f64)
 }
 
 /// Per-level diagnostics of an H-LSH run.
@@ -481,80 +286,53 @@ pub struct HlshLevelStats {
 /// Runs H-LSH while recording where in the ladder each column becomes
 /// active and each pair is first found — the introspection behind the
 /// "a pair can become a candidate only on a matrix `M_i` in which they are
-/// both sufficiently dense" analysis of §4.2.
+/// both sufficiently dense" analysis of §4.2. It walks the generator's own
+/// level plans, so it sees exactly the runs [`hlsh_candidates`] counts.
+///
+/// # Panics
+///
+/// Panics on the same parameter violations as [`hlsh_collision_counts`].
 #[must_use]
 pub fn hlsh_trace(base: &RowMajorMatrix, params: &HLshParams) -> Vec<HlshLevelStats> {
-    assert!(
-        params.r >= 1 && params.r <= 64,
-        "pattern width must be 1..=64"
-    );
-    assert!(params.t >= 3, "density gate needs t >= 3");
-    let ladder = DensityLadder::build(base, params.max_levels, params.seed);
-    let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let lo_gate = 1.0 / f64::from(params.t);
-    let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-    let mut seen: sfa_hash::bucket::FastHashSet<u64> = sfa_hash::bucket::FastHashSet::default();
-    let mut out = Vec::new();
-    for level in 0..ladder.n_levels() {
-        let matrix = ladder.level(level);
-        let n = matrix.n_rows();
-        if (n as usize) < params.r {
-            break;
-        }
-        let counts = matrix.column_counts();
-        let gated: Vec<bool> = counts
-            .iter()
-            .map(|&c| {
-                let d = f64::from(c) / f64::from(n);
-                d > lo_gate && d < hi_gate
-            })
-            .collect();
-        let gated_columns = gated.iter().filter(|&&g| g).count();
-        let mut new_pairs = 0usize;
-        if gated_columns > 0 {
-            for _run in 0..params.l {
-                let rows = sample_distinct_rows(n, params.r, &mut seq);
-                let mut patterns: FastHashMap<u32, u64> = FastHashMap::default();
-                for (bit, &row) in rows.iter().enumerate() {
-                    for &col in matrix.row(row) {
-                        if gated[col as usize] {
-                            *patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                        }
-                    }
-                }
-                let mut table = BucketTable::with_capacity(patterns.len());
-                for (&col, &bits) in &patterns {
-                    table.insert(bits, col);
-                }
-                for (_, bucket) in table.iter() {
-                    let mut cols = bucket.to_vec();
-                    cols.sort_unstable();
-                    for (a, &ci) in cols.iter().enumerate() {
-                        for &cj in &cols[a + 1..] {
-                            if seen.insert(sfa_hash::bucket::pack_pair(ci, cj)) {
+    let (ladder, plans) = level_plans(base, params);
+    let mut seen: FastHashSet<u64> = FastHashSet::default();
+    let mut buf = Vec::new();
+    plans
+        .iter()
+        .map(|plan| {
+            let matrix = ladder.level(plan.level);
+            let mut new_pairs = 0usize;
+            for rows in &plan.runs {
+                run_entries(matrix, plan, rows, params.include_zero_keys, &mut buf);
+                buf.sort_unstable();
+                for bucket in buf.chunk_by(|a, b| a.0 == b.0) {
+                    for (a, &(_, ci)) in bucket.iter().enumerate() {
+                        for &(_, cj) in &bucket[a + 1..] {
+                            if seen.insert(pack_pair(ci, cj)) {
                                 new_pairs += 1;
                             }
                         }
                     }
                 }
             }
-        } else if params.l > 0 {
-            // Keep the sampling stream aligned with hlsh_collision_counts,
-            // which skips runs for fully-gated-out levels.
-        }
-        out.push(HlshLevelStats {
-            level,
-            n_rows: n,
-            gated_columns,
-            new_pairs,
-        });
-    }
-    out
+            HlshLevelStats {
+                level: plan.level,
+                n_rows: matrix.n_rows(),
+                gated_columns: plan.gated_columns,
+                new_pairs,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn candidates(m: &RowMajorMatrix, params: &HLshParams) -> Vec<CandidatePair> {
+        let pool = ThreadPool::new(1);
+        hlsh_candidates(m, params, PairShard::all(), usize::MAX, &pool).0
+    }
 
     /// 256 rows; columns 0, 1 identical (dense enough to gate at level 0
     /// or 1); columns 2, 3 dissimilar; column 4 ultra-sparse.
@@ -617,7 +395,7 @@ mod tests {
     fn identical_columns_are_found() {
         let m = matrix();
         let params = HLshParams::new(8, 6, 5);
-        let cands = hlsh_candidates(&m, &params);
+        let cands = candidates(&m, &params);
         assert!(
             cands.iter().any(|c| c.ids() == (0, 1)),
             "identical pair not found: {cands:?}"
@@ -628,7 +406,7 @@ mod tests {
     fn disjoint_columns_rarely_collide() {
         let m = matrix();
         let params = HLshParams::new(12, 4, 5);
-        let cands = hlsh_candidates(&m, &params);
+        let cands = candidates(&m, &params);
         // Columns 2 and 3 are disjoint (density each 1/4): any collision
         // would need identical 12-bit patterns, overwhelmingly unlikely.
         assert!(
@@ -651,7 +429,7 @@ mod tests {
             include_zero_keys: true,
             seed: 9,
         };
-        let cands = hlsh_candidates(&m, &params);
+        let cands = candidates(&m, &params);
         assert!(
             cands.iter().all(|c| c.i != 4 && c.j != 4),
             "sparse column should be gated out: {cands:?}"
@@ -662,15 +440,15 @@ mod tests {
     fn deterministic_per_seed() {
         let m = matrix();
         let params = HLshParams::new(8, 6, 77);
-        assert_eq!(hlsh_candidates(&m, &params), hlsh_candidates(&m, &params));
+        assert_eq!(candidates(&m, &params), candidates(&m, &params));
     }
 
     #[test]
-    fn stats_variant_matches_plain_generator() {
+    fn stats_count_emitted_pairs_and_buckets() {
         let m = matrix();
         let params = HLshParams::new(8, 6, 5);
-        let (cands, stats) = hlsh_candidates_with_stats(&m, &params);
-        assert_eq!(cands, hlsh_candidates(&m, &params));
+        let pool = ThreadPool::new(1);
+        let (cands, stats, _) = hlsh_candidates(&m, &params, PairShard::all(), usize::MAX, &pool);
         assert_eq!(stats.stage("emitted"), Some(cands.len() as u64));
         assert!(stats.bucket_histogram.iter().sum::<u64>() > 0);
     }
@@ -683,14 +461,12 @@ mod tests {
             include_zero_keys: true,
             ..off
         };
-        let c_off: std::collections::HashSet<(u32, u32)> = hlsh_candidates(&m, &off)
+        let c_off: std::collections::HashSet<(u32, u32)> = candidates(&m, &off)
             .iter()
             .map(CandidatePair::ids)
             .collect();
-        let c_on: std::collections::HashSet<(u32, u32)> = hlsh_candidates(&m, &on)
-            .iter()
-            .map(CandidatePair::ids)
-            .collect();
+        let c_on: std::collections::HashSet<(u32, u32)> =
+            candidates(&m, &on).iter().map(CandidatePair::ids).collect();
         assert!(c_off.is_subset(&c_on));
     }
 
@@ -713,7 +489,7 @@ mod tests {
         let params = HLshParams::new(8, 6, 5);
         let trace = hlsh_trace(&m, &params);
         let total: usize = trace.iter().map(|s| s.new_pairs).sum();
-        let candidates = hlsh_candidates(&m, &params);
+        let candidates = candidates(&m, &params);
         assert_eq!(total, candidates.len(), "trace must account for every pair");
     }
 
@@ -731,33 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_variant_matches_sequential_at_every_thread_count() {
-        let m = matrix();
-        for params in [
-            HLshParams::new(8, 6, 5),
-            HLshParams {
-                include_zero_keys: true,
-                ..HLshParams::new(8, 4, 13)
-            },
-        ] {
-            let seq = hlsh_candidates_with_stats(&m, &params);
-            for threads in [1, 2, 4, 7] {
-                let pool = sfa_par::ThreadPool::new(threads);
-                let par = hlsh_candidates_with_stats_pool(&m, &params, &pool);
-                assert_eq!(par.0, seq.0, "candidates, threads = {threads}");
-                assert_eq!(par.1.stages, seq.1.stages, "stages, threads = {threads}");
-                assert_eq!(
-                    par.1.bucket_histogram, seq.1.bucket_histogram,
-                    "histogram, threads = {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "pattern width")]
     fn rejects_oversized_patterns() {
         let m = matrix();
-        let _ = hlsh_candidates(&m, &HLshParams::new(65, 2, 1));
+        let _ = candidates(&m, &HLshParams::new(65, 2, 1));
     }
 }

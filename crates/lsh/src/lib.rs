@@ -33,15 +33,13 @@ pub mod hlsh;
 pub mod mlsh;
 pub mod online;
 pub mod optimize;
+#[cfg(test)]
+mod phase2_properties;
 
 pub use filter::{p_filter, q_filter};
-pub use hlsh::{
-    hlsh_candidates, hlsh_candidates_sharded, hlsh_candidates_with_stats,
-    hlsh_candidates_with_stats_pool, DensityLadder, HLshParams,
-};
+pub use hlsh::{hlsh_candidates, hlsh_collision_counts, DensityLadder, HLshParams};
 pub use mlsh::{
-    mlsh_candidates, mlsh_candidates_sharded, mlsh_candidates_with_stats,
-    mlsh_candidates_with_stats_pool, BandSelection, MLshParams,
+    mlsh_candidates, mlsh_candidates_with_stats, mlsh_collision_counts, BandSelection, MLshParams,
 };
 pub use online::OnlineMLsh;
 pub use optimize::{optimize_params, SimilarityDistribution};

@@ -100,7 +100,7 @@ impl<'a> OnlineMLsh<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlsh::mlsh_candidates;
+    use crate::mlsh::mlsh_candidates_with_stats;
     use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
     use sfa_minhash::compute_signatures;
 
@@ -134,7 +134,8 @@ mod tests {
             .map(CandidatePair::ids)
             .collect();
         collected.sort_unstable();
-        let mut batch: Vec<(u32, u32)> = mlsh_candidates(&s, &params)
+        let mut batch: Vec<(u32, u32)> = mlsh_candidates_with_stats(&s, &params)
+            .0
             .iter()
             .map(CandidatePair::ids)
             .collect();

@@ -1,6 +1,7 @@
 //! Statistical validation: the analytic filter functions predict the
 //! *measured* collision rates of the M-LSH implementation.
 
+use sfa_hash::PairShard;
 use sfa_lsh::mlsh::{mlsh_collision_counts, MLshParams};
 use sfa_lsh::{p_filter, q_filter};
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
@@ -25,11 +26,18 @@ fn empirical_collision_rate(
     params_for: impl Fn(u64) -> MLshParams,
     trials: u64,
 ) -> f64 {
+    let pool = sfa_par::ThreadPool::new(1);
     let mut collisions = 0;
     for seed in 0..trials {
         let sigs = compute_signatures(&mut MemoryRowStream::new(m), k, seed * 7 + 1).unwrap();
-        let counts = mlsh_collision_counts(&sigs, &params_for(seed));
-        if counts.get(0, 1) > 0 {
+        let counts = mlsh_collision_counts(
+            &sigs,
+            &params_for(seed),
+            PairShard::all(),
+            usize::MAX,
+            &pool,
+        );
+        if counts.counter.get(0, 1) > 0 {
             collisions += 1;
         }
     }

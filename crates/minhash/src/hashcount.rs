@@ -6,12 +6,17 @@
 //! increment the counter for `(c_i, c_j)`." The total work is the number of
 //! counter increments — `O(k S̄ m²)` expected — with **no** term quadratic
 //! in `m` when the average similarity `S̄` is small.
+//!
+//! Buckets are realized as sorted runs of equal values and counted by the
+//! shared kernel [`sfa_hash::count_pairs`], which performs exactly the
+//! increments and bucket occupancy of the incremental table. Every
+//! generator takes a [`PairShard`], a byte cap and a pool: an unsharded
+//! run passes [`PairShard::all`] and `usize::MAX`, and a sequential run a
+//! one-worker pool.
 
 use sfa_hash::bucket::{
-    add_hist, count_sorted_runs, default_shards, merge_sharded, unpack_pair, BucketTable,
-    BudgetedPairCounter, PairCounter, PairShard, ShardPassOutcome, ShardedPairCounter,
+    count_pairs, unpack_pair, PairCounts, PairShard, ShardPassOutcome, TaskPlan,
 };
-use sfa_matrix::RowStream;
 use sfa_par::ThreadPool;
 
 use crate::candidates::{CandidateGenStats, CandidatePair};
@@ -20,214 +25,95 @@ use crate::kmh::BottomKSignatures;
 use crate::signature::{SignatureMatrix, EMPTY_SIGNATURE};
 use crate::theory::agreement_threshold;
 
-/// Counts, for every column pair, the number of `M̂` rows on which the two
-/// columns agree, via one bucket table per signature row.
+/// Counts, for every column pair in `shard`, the number of `M̂` rows on
+/// which the two columns agree, via one bucket table per signature row.
 ///
 /// This is the MH flavour of Hash-Count: "we use a different hash table
 /// (and set of buckets) for each row of the matrix `M̂`, and execute the
 /// same process as for K-Min-Hash."
 #[must_use]
-pub fn mh_agreement_counts(sigs: &SignatureMatrix) -> PairCounter {
-    let mut counter = PairCounter::new();
-    let mut table = BucketTable::new();
-    for l in 0..sigs.k() {
-        table.clear();
-        for (j, &v) in sigs.row(l).iter().enumerate() {
-            if v == EMPTY_SIGNATURE {
-                continue;
-            }
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j as u32);
-            }
-            table.insert(v, j as u32);
-        }
-    }
-    counter
+pub fn mh_agreement_counts(
+    sigs: &SignatureMatrix,
+    shard: PairShard,
+    cap_bytes: usize,
+    pool: &ThreadPool,
+) -> PairCounts {
+    row_bucket_counts(sigs, shard, cap_bytes, pool, 1)
 }
 
-/// Parallel variant of [`mh_agreement_counts`] over a one-shot pool;
-/// pipeline code reuses a pool across phases via
-/// [`mh_agreement_counts_pool`].
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-#[must_use]
-pub fn mh_agreement_counts_parallel(sigs: &SignatureMatrix, n_threads: usize) -> PairCounter {
-    assert!(n_threads > 0, "need at least one thread");
-    mh_agreement_counts_pool(sigs, &ThreadPool::new(n_threads))
-}
-
-/// Pool-based [`mh_agreement_counts`]: signature rows are dealt out
-/// dynamically, each worker counting into a private sharded counter;
-/// per-pair counts add across workers, so the merge is exact.
-#[must_use]
-pub fn mh_agreement_counts_pool(sigs: &SignatureMatrix, pool: &ThreadPool) -> PairCounter {
-    if pool.threads() == 1 || sigs.k() < 2 {
-        return mh_agreement_counts(sigs);
-    }
-    let (counter, _, _) = row_bucket_counts_pool(sigs, pool, 1);
-    let mut merged = PairCounter::new();
-    for (i, j, c) in counter.iter() {
-        merged.add(i, j, c);
-    }
-    merged
-}
-
-/// Per-worker state for the sorted-row bucket scan.
-struct RowCountLocal {
-    counter: ShardedPairCounter,
-    hist: Vec<u64>,
-    increments: u64,
-    buf: Vec<(u64, u32)>,
-}
-
-/// The shared phase-2 counting kernel for signature-matrix schemes (MH
-/// and Row-Sorting): signature rows are dealt out dynamically; for each
-/// row the non-empty `(value, column)` entries are sorted once and every
-/// maximal equal-value run is scanned as one bucket (see
-/// [`count_sorted_runs`]). Per-worker sharded counters merge in parallel
-/// per shard.
-///
-/// Returns `(pair counts, bucket-occupancy histogram, increments)`;
+/// The per-row bucket scan shared by MH and Row-Sorting: signature rows
+/// are dealt out dynamically, and each row's non-empty `(value, column)`
+/// entries are sorted once so every run of equal values is one bucket.
 /// `min_hist_run` is 1 for Hash-Count occupancy (all buckets) and 2 for
 /// Row-Sorting (runs of at least two columns).
-pub(crate) fn row_bucket_counts_pool(
+pub(crate) fn row_bucket_counts(
     sigs: &SignatureMatrix,
+    shard: PairShard,
+    cap_bytes: usize,
     pool: &ThreadPool,
     min_hist_run: usize,
-) -> (ShardedPairCounter, Vec<u64>, u64) {
-    // Scan cost before counting: k rows × m entries each. Small
-    // signature matrices (the bench baseline's k=100, m=1000) fall below
-    // the pool's serial cutoff and run on the caller thread — with the
-    // single-worker shard count, so pool size cannot change the serial
-    // path's cache behavior.
-    let scan_ops = (sigs.k() as u64).saturating_mul(sigs.m() as u64);
-    let effective_threads = if pool.worth_parallel(scan_ops) {
-        pool.threads()
-    } else {
-        1
+) -> PairCounts {
+    let plan = TaskPlan {
+        tasks: sigs.k(),
+        chunk: 1,
+        // Scan cost before counting: k rows × m entries each.
+        scan_ops: (sigs.k() as u64).saturating_mul(sigs.m() as u64),
+        min_hist_run,
     };
-    let shards = default_shards(effective_threads);
-    let locals = pool.par_fold_bounded(
-        sigs.k(),
-        1,
-        scan_ops,
-        |_| RowCountLocal {
-            counter: ShardedPairCounter::new(shards),
-            hist: Vec::new(),
-            increments: 0,
-            buf: Vec::new(),
-        },
-        |local, rows| {
-            for l in rows {
-                local.buf.clear();
-                for (j, &v) in sigs.row(l).iter().enumerate() {
-                    if v != EMPTY_SIGNATURE {
-                        local.buf.push((v, j as u32));
-                    }
-                }
-                local.buf.sort_unstable();
-                local.increments += count_sorted_runs(
-                    &local.buf,
-                    &mut local.counter,
-                    &mut local.hist,
-                    min_hist_run,
-                );
+    count_pairs(pool, shard, cap_bytes, plan, |l, local| {
+        local.buf.clear();
+        for (j, &v) in sigs.row(l).iter().enumerate() {
+            if v != EMPTY_SIGNATURE {
+                local.buf.push((v, j as u32));
             }
-        },
-    );
-    let mut hist = Vec::new();
-    let mut increments = 0u64;
-    let mut counters = Vec::with_capacity(locals.len());
-    for local in locals {
-        add_hist(&mut hist, &local.hist);
-        increments += local.increments;
-        counters.push(local.counter);
-    }
-    (merge_sharded(counters, pool), hist, increments)
+        }
+        local.count_buf();
+    })
 }
 
 /// MH candidate generation: pairs agreeing on at least
 /// `(1 − δ)·s*·k` of their `k` min-hash values, with `Ŝ` as estimate.
-#[must_use]
-pub fn mh_candidates(sigs: &SignatureMatrix, s_star: f64, delta: f64) -> Vec<CandidatePair> {
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let counts = mh_agreement_counts(sigs);
-    let mut out: Vec<CandidatePair> = counts
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    out
-}
-
-/// [`mh_candidates`] plus instrumentation: per-stage counters
-/// (`counter-increments`, `pairs-agreeing`, `threshold-admitted`) and the
-/// aggregate occupancy histogram of the `k` per-row bucket tables.
-#[must_use]
-pub fn mh_candidates_with_stats(
-    sigs: &SignatureMatrix,
-    s_star: f64,
-    delta: f64,
-) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) = mh_candidates_sharded(sigs, s_star, delta, PairShard::all(), usize::MAX);
-    (out, stats)
-}
-
-/// One budgeted shard pass of [`mh_candidates_with_stats`]: only pairs in
-/// `shard` are counted, and the pair counter's heap is capped at
-/// `cap_bytes`. With [`PairShard::all`] and an unbounded cap this *is*
-/// the unsharded generator (candidates, stage counters, and histogram are
-/// byte-identical — `mh_candidates_with_stats` delegates here).
 ///
-/// Shard admission is a pure per-pair predicate, so a pair's agreement
-/// count in its shard equals its unsharded count, and the union of
+/// Stage counters: `counter-increments` (attempted increments — the scan
+/// work, independent of the shard), `pairs-agreeing` and
+/// `threshold-admitted`; the histogram aggregates the `k` per-row bucket
+/// tables. Shard admission is a pure per-pair predicate, so the union of
 /// per-shard candidate sets over a full partition equals the unsharded
-/// set exactly. The `counter-increments` stage counts *attempted*
-/// increments (the scan work done, independent of the shard filter).
-///
-/// On overflow the pass is aborted: the returned candidate list is empty
-/// and [`ShardPassOutcome::overflowed`] is set — the caller must discard
-/// the pass and rerun with more shards.
+/// set. When the counter overflows `cap_bytes` the pass is aborted: no
+/// candidates, and [`ShardPassOutcome::overflowed`] set.
 #[must_use]
-pub fn mh_candidates_sharded(
+pub fn mh_candidates(
     sigs: &SignatureMatrix,
     s_star: f64,
     delta: f64,
     shard: PairShard,
     cap_bytes: usize,
+    pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    let mut stats = CandidateGenStats::default();
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let mut table = BucketTable::new();
-    let mut increments = 0u64;
-    for l in 0..sigs.k() {
-        if counter.overflowed() {
-            break;
-        }
-        table.clear();
-        for (j, &v) in sigs.row(l).iter().enumerate() {
-            if v == EMPTY_SIGNATURE {
-                continue;
-            }
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j as u32);
-                increments += 1;
-            }
-            table.insert(v, j as u32);
-        }
-        table.accumulate_occupancy(&mut stats.bucket_histogram);
-    }
-    let outcome = counter.outcome();
+    let counts = mh_agreement_counts(sigs, shard, cap_bytes, pool);
+    agreement_candidates(sigs, s_star, delta, counts)
+}
+
+/// The agreement-count admission MH and Row-Sorting share.
+pub(crate) fn agreement_candidates(
+    sigs: &SignatureMatrix,
+    s_star: f64,
+    delta: f64,
+    counts: PairCounts,
+) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
+    let outcome = counts.outcome();
     if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
+        return (Vec::new(), CandidateGenStats::default(), outcome);
     }
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
+    let mut stats = CandidateGenStats {
+        bucket_histogram: counts.bucket_histogram,
+        ..CandidateGenStats::default()
+    };
+    stats.record("counter-increments", counts.increments);
+    stats.record("pairs-agreeing", counts.counter.len() as u64);
     let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
+    let mut out: Vec<CandidatePair> = counts
+        .counter
         .iter()
         .filter(|&(_, _, c)| c >= threshold)
         .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
@@ -237,9 +123,7 @@ pub fn mh_candidates_sharded(
     (out, stats, outcome)
 }
 
-/// Pool-based [`mh_candidates_with_stats`]: identical candidates, stage
-/// counters, and occupancy histogram, computed with the parallel sorted
-/// bucket scan ([`row_bucket_counts_pool`]).
+/// Unsharded [`mh_candidates`] on `pool`.
 #[must_use]
 pub fn mh_candidates_with_stats_pool(
     sigs: &SignatureMatrix,
@@ -247,171 +131,26 @@ pub fn mh_candidates_with_stats_pool(
     delta: f64,
     pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (counter, hist, increments) = row_bucket_counts_pool(sigs, pool, 1);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("threshold-admitted", out.len() as u64);
+    let (out, stats, _) = mh_candidates(sigs, s_star, delta, PairShard::all(), usize::MAX, pool);
     (out, stats)
 }
 
-/// Counts `|SIG_i ∩ SIG_j|` for every column pair sharing at least one
-/// sketch value — the K-MH flavour of Hash-Count, using a single bucket
-/// table over all values.
+/// Counts `|SIG_i ∩ SIG_j|` for every column pair in `shard` sharing at
+/// least one sketch value — the K-MH flavour of Hash-Count, using a single
+/// bucket table over all values: the `(sketch value, column)` entries are
+/// gathered, sorted once and split at value boundaries, and the buckets
+/// are dealt out dynamically.
 #[must_use]
-pub fn kmh_overlap_counts(sigs: &BottomKSignatures) -> PairCounter {
-    let mut counter = PairCounter::new();
-    let mut table = BucketTable::new();
-    for j in 0..sigs.m() as u32 {
-        for &v in sigs.signature(j) {
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j);
-            }
-            table.insert(v, j);
-        }
-    }
-    counter
-}
-
-/// K-MH candidate generation (§3.2's two-stage plan):
-///
-/// 1. compute the sketch overlaps with Hash-Count (`O(k S̄ m²)`),
-/// 2. admit pairs whose overlap clears the per-pair biased threshold,
-/// 3. re-score the admitted pairs with the Theorem 2 unbiased estimator
-///    (the "main-memory candidate pruning phase") and keep those at
-///    `≥ (1 − δ)·s*`.
-#[must_use]
-pub fn kmh_candidates(sigs: &BottomKSignatures, s_star: f64, delta: f64) -> Vec<CandidatePair> {
-    let overlaps = kmh_overlap_counts(sigs);
-    let mut out = Vec::new();
-    for (i, j, overlap) in overlaps.iter() {
-        let threshold = estimate::kmh_overlap_threshold(
-            s_star,
-            delta,
-            sigs.k(),
-            sigs.column_count(i) as usize,
-            sigs.column_count(j) as usize,
-        );
-        if (overlap as usize) < threshold {
-            continue;
-        }
-        let unbiased = sigs.unbiased_similarity(i, j);
-        if unbiased >= (1.0 - delta) * s_star {
-            out.push(CandidatePair::new(i, j, unbiased));
-        }
-    }
-    out.sort_by_key(CandidatePair::ids);
-    out
-}
-
-/// [`kmh_candidates`] plus instrumentation: per-stage counters
-/// (`counter-increments`, `pairs-overlapping`, `overlap-admitted`,
-/// `rescore-admitted`) and the occupancy histogram of the single
-/// sketch-value bucket table.
-#[must_use]
-pub fn kmh_candidates_with_stats(
+pub fn kmh_overlap_counts(
     sigs: &BottomKSignatures,
-    s_star: f64,
-    delta: f64,
-) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) = kmh_candidates_sharded(sigs, s_star, delta, PairShard::all(), usize::MAX);
-    (out, stats)
-}
-
-/// One budgeted shard pass of [`kmh_candidates_with_stats`] — the K-MH
-/// analogue of [`mh_candidates_sharded`], with the same contract: pure
-/// per-pair shard admission (the overlap count, per-pair threshold, and
-/// unbiased re-scoring of an admitted pair are all independent of every
-/// other pair), attempted-increment accounting, and an aborted empty
-/// pass on budget overflow.
-#[must_use]
-pub fn kmh_candidates_sharded(
-    sigs: &BottomKSignatures,
-    s_star: f64,
-    delta: f64,
     shard: PairShard,
     cap_bytes: usize,
-) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    let mut stats = CandidateGenStats::default();
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let mut table = BucketTable::new();
-    let mut increments = 0u64;
-    for j in 0..sigs.m() as u32 {
-        if counter.overflowed() {
-            break;
-        }
-        for &v in sigs.signature(j) {
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j);
-                increments += 1;
-            }
-            table.insert(v, j);
-        }
-    }
-    table.accumulate_occupancy(&mut stats.bucket_histogram);
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("counter-increments", increments);
-    stats.record("pairs-overlapping", counter.len() as u64);
-    let mut overlap_admitted = 0u64;
-    let mut out = Vec::new();
-    for (i, j, overlap) in counter.iter() {
-        let threshold = estimate::kmh_overlap_threshold(
-            s_star,
-            delta,
-            sigs.k(),
-            sigs.column_count(i) as usize,
-            sigs.column_count(j) as usize,
-        );
-        if (overlap as usize) < threshold {
-            continue;
-        }
-        overlap_admitted += 1;
-        let unbiased = sigs.unbiased_similarity(i, j);
-        if unbiased >= (1.0 - delta) * s_star {
-            out.push(CandidatePair::new(i, j, unbiased));
-        }
-    }
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("overlap-admitted", overlap_admitted);
-    stats.record("rescore-admitted", out.len() as u64);
-    (out, stats, outcome)
-}
-
-/// The K-MH flavour of the batched bucket scan: all `(sketch value,
-/// column)` entries are gathered (in parallel), sorted once, split at
-/// value boundaries, and the resulting buckets are dealt out dynamically
-/// to workers counting into sharded counters.
-///
-/// Returns `(pair counts, occupancy histogram, increments)` — exactly
-/// what the incremental single-table scan of [`kmh_overlap_counts`]
-/// produces.
-pub(crate) fn kmh_sorted_counts_pool(
-    sigs: &BottomKSignatures,
     pool: &ThreadPool,
-) -> (ShardedPairCounter, Vec<u64>, u64) {
+) -> PairCounts {
     let m = sigs.m();
-    // Gather + count cost tracks the total number of sketch values,
-    // which is at most k per column; below the serial cutoff both folds
-    // stay on the caller thread, with the single-worker shard count.
+    // Gather + count cost tracks the total number of sketch values, which
+    // is at most k per column.
     let scan_ops = (sigs.k() as u64).saturating_mul(m as u64);
-    let effective_threads = if pool.worth_parallel(scan_ops) {
-        pool.threads()
-    } else {
-        1
-    };
     let mut entries: Vec<(u64, u32)> = pool
         .par_fold_bounded(
             m,
@@ -437,63 +176,52 @@ pub(crate) fn kmh_sorted_counts_pool(
     }
     starts.push(entries.len());
     let n_buckets = starts.len() - 1;
-    let shards = default_shards(effective_threads);
-    let entries = &entries;
-    let starts = &starts;
-    let locals = pool.par_fold_bounded(
-        n_buckets,
-        pool.chunk_for(n_buckets),
+    let plan = TaskPlan {
+        tasks: n_buckets,
+        chunk: pool.chunk_for(n_buckets),
         scan_ops,
-        |_| (ShardedPairCounter::new(shards), Vec::new(), 0u64),
-        |(counter, hist, increments), buckets| {
-            let slice = &entries[starts[buckets.start]..starts[buckets.end]];
-            *increments += count_sorted_runs(slice, counter, hist, 1);
-        },
-    );
-    let mut hist = Vec::new();
-    let mut increments = 0u64;
-    let mut counters = Vec::with_capacity(locals.len());
-    for (counter, local_hist, local_incr) in locals {
-        add_hist(&mut hist, &local_hist);
-        increments += local_incr;
-        counters.push(counter);
-    }
-    (merge_sharded(counters, pool), hist, increments)
+        min_hist_run: 1,
+    };
+    count_pairs(pool, shard, cap_bytes, plan, |b, local| {
+        local.count(&entries[starts[b]..starts[b + 1]]);
+    })
 }
 
-/// Pool-based [`kmh_overlap_counts`]; identical counts.
+/// K-MH candidate generation (§3.2's two-stage plan):
+///
+/// 1. compute the sketch overlaps with Hash-Count (`O(k S̄ m²)`),
+/// 2. admit pairs whose overlap clears the per-pair biased threshold,
+/// 3. re-score the admitted pairs with the Theorem 2 unbiased estimator
+///    (the "main-memory candidate pruning phase") and keep those at
+///    `≥ (1 − δ)·s*`.
+///
+/// Stage counters: `counter-increments`, `pairs-overlapping`,
+/// `overlap-admitted`, `rescore-admitted`; the histogram is the single
+/// sketch-value table's occupancy. The overlap count, per-pair threshold
+/// and re-scoring of a pair depend on no other pair, so sharding and
+/// overflow behave as in [`mh_candidates`]. Re-scoring runs
+/// shard-parallel over the counter's tables.
 #[must_use]
-pub fn kmh_overlap_counts_pool(sigs: &BottomKSignatures, pool: &ThreadPool) -> PairCounter {
-    if pool.threads() == 1 {
-        return kmh_overlap_counts(sigs);
-    }
-    let (counter, _, _) = kmh_sorted_counts_pool(sigs, pool);
-    let mut merged = PairCounter::new();
-    for (i, j, c) in counter.iter() {
-        merged.add(i, j, c);
-    }
-    merged
-}
-
-/// Pool-based [`kmh_candidates_with_stats`]: identical candidates and
-/// instrumentation. The overlap scan uses the batched sorted bucket
-/// scan, and the per-pair threshold + unbiased re-scoring stage runs
-/// shard-parallel.
-#[must_use]
-pub fn kmh_candidates_with_stats_pool(
+pub fn kmh_candidates(
     sigs: &BottomKSignatures,
     s_star: f64,
     delta: f64,
+    shard: PairShard,
+    cap_bytes: usize,
     pool: &ThreadPool,
-) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (counter, hist, increments) = kmh_sorted_counts_pool(sigs, pool);
+) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
+    let counts = kmh_overlap_counts(sigs, shard, cap_bytes, pool);
+    let outcome = counts.outcome();
+    if outcome.overflowed {
+        return (Vec::new(), CandidateGenStats::default(), outcome);
+    }
+    let counter = &counts.counter;
     let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
+        bucket_histogram: counts.bucket_histogram,
         ..CandidateGenStats::default()
     };
-    stats.record("counter-increments", increments);
+    stats.record("counter-increments", counts.increments);
     stats.record("pairs-overlapping", counter.len() as u64);
-    let counter_ref = &counter;
     // Re-scoring is O(k) per overlapping pair; tiny candidate sets stay
     // on the caller thread.
     let rescore_ops = (counter.len() as u64).saturating_mul(sigs.k() as u64);
@@ -504,7 +232,7 @@ pub fn kmh_candidates_with_stats_pool(
         |_| (0u64, Vec::new()),
         |(admitted, out), shards| {
             for s in shards {
-                for (key, overlap) in counter_ref.shard(s).iter() {
+                for (key, overlap) in counter.shard(s).iter() {
                     let (i, j) = unpack_pair(key);
                     let threshold = estimate::kmh_overlap_threshold(
                         s_star,
@@ -534,39 +262,7 @@ pub fn kmh_candidates_with_stats_pool(
     out.sort_by_key(CandidatePair::ids);
     stats.record("overlap-admitted", overlap_admitted);
     stats.record("rescore-admitted", out.len() as u64);
-    (out, stats)
-}
-
-/// Convenience: MH pipeline phase 1 + 2 straight from a row stream.
-///
-/// # Errors
-///
-/// Propagates stream errors.
-pub fn mh_candidates_from_stream<S: RowStream>(
-    stream: &mut S,
-    k: usize,
-    seed: u64,
-    s_star: f64,
-    delta: f64,
-) -> sfa_matrix::Result<Vec<CandidatePair>> {
-    let sigs = crate::mh::compute_signatures(stream, k, seed)?;
-    Ok(mh_candidates(&sigs, s_star, delta))
-}
-
-/// Convenience: K-MH pipeline phase 1 + 2 straight from a row stream.
-///
-/// # Errors
-///
-/// Propagates stream errors.
-pub fn kmh_candidates_from_stream<S: RowStream>(
-    stream: &mut S,
-    k: usize,
-    seed: u64,
-    s_star: f64,
-    delta: f64,
-) -> sfa_matrix::Result<Vec<CandidatePair>> {
-    let sigs = crate::kmh::compute_bottom_k(stream, k, seed)?;
-    Ok(kmh_candidates(&sigs, s_star, delta))
+    (out, stats, outcome)
 }
 
 #[cfg(test)]
@@ -592,15 +288,25 @@ mod tests {
         RowMajorMatrix::from_rows(5, rows).unwrap()
     }
 
+    fn mh(sigs: &SignatureMatrix, s_star: f64, delta: f64) -> Vec<CandidatePair> {
+        let pool = ThreadPool::new(1);
+        mh_candidates(sigs, s_star, delta, PairShard::all(), usize::MAX, &pool).0
+    }
+
+    fn kmh(sigs: &BottomKSignatures, s_star: f64, delta: f64) -> Vec<CandidatePair> {
+        let pool = ThreadPool::new(1);
+        kmh_candidates(sigs, s_star, delta, PairShard::all(), usize::MAX, &pool).0
+    }
+
     #[test]
     fn mh_agreement_counts_match_direct() {
         let m = matrix();
         let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 64, 3).unwrap();
-        let counts = mh_agreement_counts(&sigs);
+        let counts = mh_agreement_counts(&sigs, PairShard::all(), usize::MAX, &ThreadPool::new(1));
         for i in 0..5u32 {
             for j in (i + 1)..5 {
                 assert_eq!(
-                    counts.get(i, j) as usize,
+                    counts.counter.get(i, j) as usize,
                     sigs.agreement_count(i, j),
                     "pair ({i}, {j})"
                 );
@@ -609,29 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agreement_counts_match_sequential() {
-        let m = matrix();
-        let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 64, 3).unwrap();
-        let seq = mh_agreement_counts(&sigs);
-        for threads in [1, 2, 4, 7] {
-            let par = mh_agreement_counts_parallel(&sigs, threads);
-            for i in 0..5u32 {
-                for j in (i + 1)..5 {
-                    assert_eq!(
-                        par.get(i, j),
-                        seq.get(i, j),
-                        "threads {threads}, pair ({i}, {j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn mh_candidates_find_similar_pair() {
         let m = matrix();
         let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 200, 5).unwrap();
-        let cands = mh_candidates(&sigs, 0.8, 0.2);
+        let cands = mh(&sigs, 0.8, 0.2);
         assert!(
             cands.iter().any(|c| c.ids() == (0, 1)),
             "missing the similar pair: {cands:?}"
@@ -645,7 +332,7 @@ mod tests {
         let m = matrix();
         let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 200, 5).unwrap();
         // S(2,3) = 2/4 = 0.5 < 0.8·(1−0.1): excluded at high cutoff.
-        let cands = mh_candidates(&sigs, 0.9, 0.1);
+        let cands = mh(&sigs, 0.9, 0.1);
         assert!(cands.iter().all(|c| c.ids() != (2, 3)), "{cands:?}");
     }
 
@@ -653,11 +340,11 @@ mod tests {
     fn kmh_overlap_counts_match_direct() {
         let m = matrix();
         let sigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 8, 3).unwrap();
-        let counts = kmh_overlap_counts(&sigs);
+        let counts = kmh_overlap_counts(&sigs, PairShard::all(), usize::MAX, &ThreadPool::new(1));
         for i in 0..5u32 {
             for j in (i + 1)..5 {
                 assert_eq!(
-                    counts.get(i, j) as usize,
+                    counts.counter.get(i, j) as usize,
                     sigs.intersection_size(i, j),
                     "pair ({i}, {j})"
                 );
@@ -669,7 +356,7 @@ mod tests {
     fn kmh_candidates_find_similar_pair() {
         let m = matrix();
         let sigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 16, 5).unwrap();
-        let cands = kmh_candidates(&sigs, 0.8, 0.2);
+        let cands = kmh(&sigs, 0.8, 0.2);
         assert!(
             cands.iter().any(|c| c.ids() == (0, 1)),
             "missing the similar pair: {cands:?}"
@@ -678,32 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_helpers_match_two_stage() {
+    fn stage_counters_describe_the_candidates() {
         let m = matrix();
-        let direct =
-            mh_candidates_from_stream(&mut MemoryRowStream::new(&m), 64, 9, 0.8, 0.2).unwrap();
-        let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 64, 9).unwrap();
-        assert_eq!(direct, mh_candidates(&sigs, 0.8, 0.2));
-
-        let direct_k =
-            kmh_candidates_from_stream(&mut MemoryRowStream::new(&m), 16, 9, 0.8, 0.2).unwrap();
-        let ksigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 16, 9).unwrap();
-        assert_eq!(direct_k, kmh_candidates(&ksigs, 0.8, 0.2));
-    }
-
-    #[test]
-    fn stats_variants_match_plain_generators() {
-        let m = matrix();
+        let pool = ThreadPool::new(1);
         let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 64, 3).unwrap();
-        let (cands, stats) = mh_candidates_with_stats(&sigs, 0.8, 0.2);
-        assert_eq!(cands, mh_candidates(&sigs, 0.8, 0.2));
+        let (cands, stats, outcome) =
+            mh_candidates(&sigs, 0.8, 0.2, PairShard::all(), usize::MAX, &pool);
+        assert!(!outcome.overflowed);
         assert_eq!(stats.stage("threshold-admitted"), Some(cands.len() as u64));
         assert!(stats.stage("counter-increments").unwrap() > 0);
         assert!(stats.bucket_histogram.iter().sum::<u64>() > 0);
 
         let ksigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 16, 5).unwrap();
-        let (kcands, kstats) = kmh_candidates_with_stats(&ksigs, 0.8, 0.2);
-        assert_eq!(kcands, kmh_candidates(&ksigs, 0.8, 0.2));
+        let (kcands, kstats, _) =
+            kmh_candidates(&ksigs, 0.8, 0.2, PairShard::all(), usize::MAX, &pool);
         assert_eq!(kstats.stage("rescore-admitted"), Some(kcands.len() as u64));
         assert!(kstats.stage("pairs-overlapping").unwrap() >= kcands.len() as u64);
     }
@@ -713,8 +388,8 @@ mod tests {
         let rows = vec![vec![0], vec![1], vec![2]];
         let m = RowMajorMatrix::from_rows(3, rows).unwrap();
         let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 32, 1).unwrap();
-        assert!(mh_candidates(&sigs, 0.5, 0.2).is_empty());
+        assert!(mh(&sigs, 0.5, 0.2).is_empty());
         let ksigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 8, 1).unwrap();
-        assert!(kmh_candidates(&ksigs, 0.5, 0.2).is_empty());
+        assert!(kmh(&ksigs, 0.5, 0.2).is_empty());
     }
 }

@@ -45,8 +45,6 @@ pub mod theory;
 
 pub use builder::{KmhBuilder, MhBuilder};
 pub use candidates::{CandidateGenStats, CandidatePair};
-pub use kmh::{
-    compute_bottom_k, compute_bottom_k_parallel, compute_bottom_k_pool, BottomKSignatures,
-};
-pub use mh::{compute_signatures, compute_signatures_parallel, compute_signatures_pool};
+pub use kmh::{compute_bottom_k, compute_bottom_k_pool, BottomKSignatures};
+pub use mh::{compute_signatures, compute_signatures_pool};
 pub use signature::{SignatureMatrix, EMPTY_SIGNATURE};

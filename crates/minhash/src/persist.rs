@@ -528,10 +528,12 @@ mod tests {
         let p = tmp("mine.sfkm");
         write_bottom_k(&sigs, &p).unwrap();
         let loaded = read_bottom_k(&p).unwrap();
-        assert_eq!(
-            crate::hashcount::kmh_candidates(&sigs, 0.4, 0.2),
-            crate::hashcount::kmh_candidates(&loaded, 0.4, 0.2)
-        );
+        let pool = sfa_par::ThreadPool::new(1);
+        let mine = |s: &BottomKSignatures| {
+            let all = sfa_hash::PairShard::all();
+            crate::hashcount::kmh_candidates(s, 0.4, 0.2, all, usize::MAX, &pool).0
+        };
+        assert_eq!(mine(&sigs), mine(&loaded));
         std::fs::remove_file(&p).ok();
     }
 }

@@ -5,7 +5,10 @@
 //! the Min-Hash values. This groups identical Min-Hash values together into
 //! a sequence of *runs*. For each column, we maintain an index of the
 //! position of its Min-Hash value in each sorted row." Agreement counting
-//! then walks runs; expected cost `O(km log m + k S̄ m²)`.
+//! then walks runs; expected cost `O(km log m + k S̄ m²)`. The all-pairs
+//! count is the shared sorted-run kernel ([`sfa_hash::count_pairs`]) over
+//! the signature rows — the same mechanics Hash-Count's buckets are
+//! realized with — with the histogram counting runs of at least two.
 //!
 //! The focus-column variant ([`SortedRows::agreements_with`]) reproduces
 //! the paper's per-column counter loop with the reusable
@@ -13,12 +16,13 @@
 //! the §6 confidence extension, which needs the second counter set for
 //! "`h(c_j)` at least as much as `h(c_i)`".
 
-use sfa_hash::bucket::{BudgetedPairCounter, PairCounter, PairShard, ShardPassOutcome};
+use sfa_hash::bucket::{PairCounts, PairShard, ShardPassOutcome};
 use sfa_hash::SparseCounters;
+use sfa_par::ThreadPool;
 
 use crate::candidates::{CandidateGenStats, CandidatePair};
+use crate::hashcount::{agreement_candidates, row_bucket_counts};
 use crate::signature::{SignatureMatrix, EMPTY_SIGNATURE};
-use crate::theory::agreement_threshold;
 
 /// The sorted-row view of a signature matrix: per signature row, the
 /// `(value, column)` tuples in ascending value order, plus the per-column
@@ -152,185 +156,48 @@ impl SortedRows {
         }
         (agree, ge)
     }
-
-    /// Iterates the runs of sorted row `l` (spans of ≥ 2 equal values).
-    pub fn runs(&self, l: usize) -> impl Iterator<Item = &[(u64, u32)]> {
-        RunIter {
-            row: &self.rows[l],
-            pos: 0,
-        }
-    }
 }
 
-struct RunIter<'a> {
-    row: &'a [(u64, u32)],
-    pos: usize,
-}
-
-impl<'a> Iterator for RunIter<'a> {
-    type Item = &'a [(u64, u32)];
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.row.len() {
-            let v = self.row[self.pos].0;
-            let start = self.pos;
-            let mut end = start + 1;
-            while end < self.row.len() && self.row[end].0 == v {
-                end += 1;
-            }
-            self.pos = end;
-            if end - start >= 2 {
-                return Some(&self.row[start..end]);
-            }
-        }
-        None
-    }
-}
-
-/// All-pairs agreement counting by run enumeration (sort-based analogue of
-/// [`mh_agreement_counts`](crate::hashcount::mh_agreement_counts) —
-/// identical output, different mechanics).
+/// All-pairs agreement counting by run enumeration over each sorted
+/// signature row, restricted to `shard` under `cap_bytes` (see
+/// [`crate::hashcount::mh_candidates`] for the sharding contract). The
+/// counts equal [`crate::hashcount::mh_agreement_counts`]; the histogram
+/// counts sorted-row *runs* by length (a run of length `s` is exactly a
+/// bucket of `s` agreeing columns), skipping singletons.
 #[must_use]
-pub fn rowsort_agreement_counts(sigs: &SignatureMatrix) -> PairCounter {
-    let sorted = SortedRows::build(sigs);
-    let mut counter = PairCounter::new();
-    for l in 0..sorted.k() {
-        for run in sorted.runs(l) {
-            if run[0].0 == EMPTY_SIGNATURE {
-                continue;
-            }
-            for (a, &(_, ci)) in run.iter().enumerate() {
-                for &(_, cj) in &run[a + 1..] {
-                    counter.increment(ci, cj);
-                }
-            }
-        }
-    }
-    counter
-}
-
-/// Row-Sorting candidate generation with the same admission rule as the
-/// Hash-Count MH path.
-#[must_use]
-pub fn rowsort_candidates(sigs: &SignatureMatrix, s_star: f64, delta: f64) -> Vec<CandidatePair> {
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let counts = rowsort_agreement_counts(sigs);
-    let mut out: Vec<CandidatePair> = counts
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    out
-}
-
-/// [`rowsort_candidates`] plus instrumentation. The histogram counts
-/// sorted-row *runs* by length (the Row-Sorting analogue of Hash-Count
-/// bucket occupancy: a run of length `s` is exactly a bucket of `s`
-/// agreeing columns).
-#[must_use]
-pub fn rowsort_candidates_with_stats(
+pub fn rowsort_agreement_counts(
     sigs: &SignatureMatrix,
-    s_star: f64,
-    delta: f64,
-) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) =
-        rowsort_candidates_sharded(sigs, s_star, delta, PairShard::all(), usize::MAX);
-    (out, stats)
+    shard: PairShard,
+    cap_bytes: usize,
+    pool: &ThreadPool,
+) -> PairCounts {
+    row_bucket_counts(sigs, shard, cap_bytes, pool, 2)
 }
 
-/// One budgeted shard pass of [`rowsort_candidates_with_stats`] — same
-/// contract as `sfa_minhash::hashcount::mh_candidates_sharded`: pure
-/// per-pair shard admission, a hard counter-heap cap, and an aborted
-/// empty pass (with `overflowed` set) when the budget is exceeded. With
-/// [`PairShard::all`] and an unbounded cap the output is byte-identical
-/// to the unsharded generator, which delegates here.
+/// Row-Sorting candidate generation with the same admission rule and
+/// stage counters as the Hash-Count MH path.
 #[must_use]
-pub fn rowsort_candidates_sharded(
+pub fn rowsort_candidates(
     sigs: &SignatureMatrix,
     s_star: f64,
     delta: f64,
     shard: PairShard,
     cap_bytes: usize,
+    pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    let mut stats = CandidateGenStats::default();
-    let sorted = SortedRows::build(sigs);
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let mut increments = 0u64;
-    for l in 0..sorted.k() {
-        if counter.overflowed() {
-            break;
-        }
-        for run in sorted.runs(l) {
-            if run[0].0 == EMPTY_SIGNATURE {
-                continue;
-            }
-            let size = run.len();
-            if stats.bucket_histogram.len() <= size {
-                stats.bucket_histogram.resize(size + 1, 0);
-            }
-            stats.bucket_histogram[size] += 1;
-            for (a, &(_, ci)) in run.iter().enumerate() {
-                for &(_, cj) in &run[a + 1..] {
-                    counter.increment(ci, cj);
-                    increments += 1;
-                }
-            }
-        }
-    }
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("threshold-admitted", out.len() as u64);
-    (out, stats, outcome)
-}
-
-/// Pool-based [`rowsort_candidates_with_stats`]: identical candidates,
-/// stage counters, and run-length histogram. Signature rows are sorted
-/// and run-scanned in parallel by the shared kernel
-/// (`row_bucket_counts_pool`), with `min_hist_run = 2` so the histogram
-/// counts only real runs, matching the sequential `runs()` iterator.
-#[must_use]
-pub fn rowsort_candidates_with_stats_pool(
-    sigs: &SignatureMatrix,
-    s_star: f64,
-    delta: f64,
-    pool: &sfa_par::ThreadPool,
-) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (counter, hist, increments) = crate::hashcount::row_bucket_counts_pool(sigs, pool, 2);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("threshold-admitted", out.len() as u64);
-    (out, stats)
+    let counts = rowsort_agreement_counts(sigs, shard, cap_bytes, pool);
+    agreement_candidates(sigs, s_star, delta, counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashcount::mh_agreement_counts;
     use crate::mh::compute_signatures;
     use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
+
+    fn counts(sigs: &SignatureMatrix) -> PairCounts {
+        rowsort_agreement_counts(sigs, PairShard::all(), usize::MAX, &ThreadPool::new(1))
+    }
 
     fn matrix() -> RowMajorMatrix {
         let rows = vec![
@@ -363,14 +230,17 @@ mod tests {
     }
 
     #[test]
-    fn rowsort_matches_hashcount() {
+    fn rowsort_counts_match_pairwise_agreements() {
         let m = matrix();
         let sigs = compute_signatures(&mut MemoryRowStream::new(&m), 64, 7).unwrap();
-        let by_sort = rowsort_agreement_counts(&sigs);
-        let by_hash = mh_agreement_counts(&sigs);
+        let by_sort = counts(&sigs);
         for i in 0..5u32 {
             for j in (i + 1)..5 {
-                assert_eq!(by_sort.get(i, j), by_hash.get(i, j), "pair ({i}, {j})");
+                assert_eq!(
+                    by_sort.counter.get(i, j) as usize,
+                    sigs.agreement_count(i, j),
+                    "pair ({i}, {j})"
+                );
             }
         }
     }
@@ -379,17 +249,21 @@ mod tests {
     fn rowsort_candidates_match_hashcount_candidates() {
         let m = matrix();
         let sigs = compute_signatures(&mut MemoryRowStream::new(&m), 128, 11).unwrap();
-        let a = rowsort_candidates(&sigs, 0.7, 0.2);
-        let b = crate::hashcount::mh_candidates(&sigs, 0.7, 0.2);
-        assert_eq!(a, b);
+        let pool = ThreadPool::new(1);
+        let a = rowsort_candidates(&sigs, 0.7, 0.2, PairShard::all(), usize::MAX, &pool);
+        let b =
+            crate::hashcount::mh_candidates(&sigs, 0.7, 0.2, PairShard::all(), usize::MAX, &pool);
+        assert_eq!(a.0, b.0);
+        assert_eq!(a.1.stages, b.1.stages);
     }
 
     #[test]
-    fn stats_variant_matches_plain_generator() {
+    fn run_histogram_accounts_for_every_increment() {
         let m = matrix();
         let sigs = compute_signatures(&mut MemoryRowStream::new(&m), 128, 11).unwrap();
-        let (cands, stats) = rowsort_candidates_with_stats(&sigs, 0.7, 0.2);
-        assert_eq!(cands, rowsort_candidates(&sigs, 0.7, 0.2));
+        let pool = ThreadPool::new(1);
+        let (cands, stats, _) =
+            rowsort_candidates(&sigs, 0.7, 0.2, PairShard::all(), usize::MAX, &pool);
         assert_eq!(stats.stage("threshold-admitted"), Some(cands.len() as u64));
         // Run-length histogram and increments must agree:
         // a run of length s contributes s·(s−1)/2 increments.
@@ -470,19 +344,20 @@ mod tests {
     #[test]
     fn runs_skip_singletons() {
         let sigs = SignatureMatrix::from_values(1, 4, vec![7, 7, 9, 3]);
-        let sorted = SortedRows::build(&sigs);
-        let runs: Vec<Vec<u32>> = sorted
-            .runs(0)
-            .map(|r| r.iter().map(|&(_, c)| c).collect())
-            .collect();
-        assert_eq!(runs, vec![vec![0, 1]]);
+        let counts = counts(&sigs);
+        assert_eq!(counts.bucket_histogram, vec![0, 0, 1]);
+        assert_eq!(counts.counter.pairs_at_least(1), vec![(0, 1, 1)]);
     }
 
     #[test]
     fn empty_sentinel_runs_are_ignored() {
         use crate::signature::EMPTY_SIGNATURE;
         let sigs = SignatureMatrix::from_values(1, 3, vec![EMPTY_SIGNATURE, EMPTY_SIGNATURE, 4]);
-        let counts = rowsort_agreement_counts(&sigs);
-        assert_eq!(counts.get(0, 1), 0, "two empty columns must not agree");
+        let counts = counts(&sigs);
+        assert_eq!(
+            counts.counter.get(0, 1),
+            0,
+            "two empty columns must not agree"
+        );
     }
 }

@@ -5,8 +5,6 @@ use proptest::prelude::*;
 
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa_minhash::estimate::{kmh_biased, kmh_unbiased, lemma1_bounds};
-use sfa_minhash::hashcount::{kmh_overlap_counts, mh_agreement_counts};
-use sfa_minhash::rowsort::rowsort_agreement_counts;
 use sfa_minhash::theory::agreement_threshold;
 use sfa_minhash::{compute_bottom_k, compute_signatures, KmhBuilder, MhBuilder};
 
@@ -47,34 +45,6 @@ proptest! {
         prop_assert_eq!(sigs.s_hat(0, 1), 1.0);
         let ksigs = compute_bottom_k(&mut MemoryRowStream::new(&m), 6, seed).unwrap();
         prop_assert_eq!(ksigs.unbiased_similarity(0, 1), 1.0);
-    }
-
-    #[test]
-    fn all_candidate_generators_agree_on_counts(m in small_matrix(), seed in any::<u64>()) {
-        let sigs = compute_signatures(&mut MemoryRowStream::new(&m), 16, seed).unwrap();
-        let by_hash = mh_agreement_counts(&sigs);
-        let by_sort = rowsort_agreement_counts(&sigs);
-        for i in 0..m.n_cols() {
-            for j in (i + 1)..m.n_cols() {
-                prop_assert_eq!(by_hash.get(i, j), by_sort.get(i, j), "pair ({}, {})", i, j);
-                prop_assert_eq!(
-                    by_hash.get(i, j) as usize,
-                    sigs.agreement_count(i, j),
-                    "pair ({}, {})", i, j
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kmh_overlap_counts_match_intersection(m in small_matrix(), seed in any::<u64>()) {
-        let sigs = compute_bottom_k(&mut MemoryRowStream::new(&m), 5, seed).unwrap();
-        let counts = kmh_overlap_counts(&sigs);
-        for i in 0..m.n_cols() {
-            for j in (i + 1)..m.n_cols() {
-                prop_assert_eq!(counts.get(i, j) as usize, sigs.intersection_size(i, j));
-            }
-        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 
 use sfa::core::verify::verify_candidates;
 use sfa::datagen::WeblogConfig;
+use sfa::hash::PairShard;
 use sfa::matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa::minhash::hashcount::kmh_candidates;
 use sfa::minhash::{compute_bottom_k, KmhBuilder};
+use sfa::par::ThreadPool;
 
 fn main() {
     // The "full week" of traffic; we will reveal it one day at a time.
@@ -32,6 +34,7 @@ fn main() {
 
     let (k, seed, s_star, delta) = (32usize, 2026u64, 0.8, 0.2);
     let mut sketch = KmhBuilder::new(k, full.n_cols() as usize, seed);
+    let pool = ThreadPool::new(1);
     for day in 0..days {
         let lo = day * per_day;
         let hi = if day == days - 1 {
@@ -45,7 +48,8 @@ fn main() {
         // Mine the *current* sketch without touching historical rows. The
         // verification pass uses only the rows seen so far.
         let current = sketch.clone().finish();
-        let candidates = kmh_candidates(&current, s_star, delta);
+        let (candidates, _, _) =
+            kmh_candidates(&current, s_star, delta, PairShard::all(), usize::MAX, &pool);
         let seen_rows: Vec<Vec<u32>> = (0..hi).map(|r| full.row(r).to_vec()).collect();
         let seen = RowMajorMatrix::from_rows(full.n_cols(), seen_rows).unwrap();
         let (verified, _) =

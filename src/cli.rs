@@ -611,7 +611,7 @@ fn cmd_mine(args: &Args) -> Result<String, CliError> {
         if let Some(dir) = sig_cache {
             pipeline = pipeline.with_signature_cache(dir);
         }
-        pipeline.run_parallel(&matrix, n)
+        pipeline.run_pool(&matrix, &crate::par::ThreadPool::new(n))
     } else if max_retries > 0 {
         let mut retrying = RetryingRowStream::new(stream, max_retries);
         let mut result = mine_run(

@@ -140,7 +140,10 @@ fn sharded_run_survives_kills_in_both_streaming_passes() {
 
     let dir = tmp("sharded_kill_state");
     std::fs::remove_dir_all(&dir).ok();
-    let budget = MemoryBudget::new(1 << 20, dir.join("spill")).with_initial_shards(2);
+    // The unsharded pair counter needs 192 KiB (7147 pairs in 16384
+    // slots) and each half of a 2-way partition 96 KiB, so this budget
+    // overflows one shard and settles on two.
+    let budget = MemoryBudget::new(128 << 10, dir.join("spill"));
     let spec = CheckpointSpec::new(dir.join("ckpt")).with_every_rows(256);
 
     // Attempt 1: killed mid-phase-1, after the row-1792 checkpoint.

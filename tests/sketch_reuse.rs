@@ -5,10 +5,12 @@
 use sfa::core::verify::verify_candidates;
 use sfa::core::{Pipeline, PipelineConfig, Scheme};
 use sfa::datagen::WeblogConfig;
+use sfa::hash::PairShard;
 use sfa::matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa::minhash::hashcount::{kmh_candidates, mh_candidates};
 use sfa::minhash::persist;
 use sfa::minhash::{compute_bottom_k, compute_signatures};
+use sfa::par::ThreadPool;
 
 fn data() -> RowMajorMatrix {
     WeblogConfig::tiny(77).generate().matrix.transpose()
@@ -29,9 +31,11 @@ fn persisted_kmh_sketch_mines_many_thresholds() {
     persist::write_bottom_k(&sigs, &path).unwrap();
 
     let loaded = persist::read_bottom_k(&path).unwrap();
+    let pool = ThreadPool::new(1);
     for &s_star in &[0.5, 0.7, 0.9] {
         // Phase 2 from the reloaded sketch + phase 3 against the table.
-        let candidates = kmh_candidates(&loaded, s_star, 0.2);
+        let (candidates, _, _) =
+            kmh_candidates(&loaded, s_star, 0.2, PairShard::all(), usize::MAX, &pool);
         let (verified, _) =
             verify_candidates(&mut MemoryRowStream::new(&rows), &candidates).unwrap();
         let from_sketch: Vec<(u32, u32)> = verified
@@ -67,9 +71,10 @@ fn persisted_mh_sketch_equals_fresh_computation() {
     persist::write_signatures(&sigs, &path).unwrap();
     let loaded = persist::read_signatures(&path).unwrap();
     assert_eq!(loaded, sigs);
-    assert_eq!(
-        mh_candidates(&loaded, 0.7, 0.2),
-        mh_candidates(&sigs, 0.7, 0.2)
-    );
+    let pool = ThreadPool::new(1);
+    let mine = |s| mh_candidates(s, 0.7, 0.2, PairShard::all(), usize::MAX, &pool);
+    let (from_loaded, from_fresh) = (mine(&loaded), mine(&sigs));
+    assert_eq!(from_loaded.0, from_fresh.0);
+    assert_eq!(from_loaded.1, from_fresh.1);
     std::fs::remove_file(&path).ok();
 }
