@@ -2,7 +2,8 @@
 //!
 //! Phase 1 (signature computation) and phase 3 (verification) are each one
 //! sequential pass over a table that may take minutes; a crash near the end
-//! should not cost the whole pass. [`Pipeline::run_resumable`] periodically
+//! should not cost the whole pass. A [`Pipeline::execute`] plan with a
+//! [`CheckpointSpec`] periodically
 //! persists the partial builder state (phase 1) and the surviving-candidate
 //! frontier (phase 3) to a checkpoint directory, and on the next invocation
 //! resumes from the last checkpoint instead of restarting.
@@ -27,7 +28,7 @@
 //! so a crash mid-write leaves the previous checkpoint intact, and they are
 //! deleted when the run completes.
 //!
-//! [`Pipeline::run_resumable`]: crate::pipeline::Pipeline::run_resumable
+//! [`Pipeline::execute`]: crate::pipeline::Pipeline::execute
 
 use std::path::{Path, PathBuf};
 
@@ -46,8 +47,8 @@ const PHASE_VERIFY: u32 = 3;
 const BUILDER_MH: u32 = 1;
 const BUILDER_KMH: u32 = 2;
 
-/// Where and how often [`run_resumable`](crate::Pipeline::run_resumable)
-/// checkpoints.
+/// Where and how often a run checkpoints (the `checkpoint` field of an
+/// [`ExecPlan`](crate::ExecPlan)).
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Directory holding the checkpoint files (created if absent).

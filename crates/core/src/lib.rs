@@ -9,21 +9,22 @@
 //!
 //! * [`config`] — which scheme to run (MH, K-MH, M-LSH, H-LSH) and with
 //!   what parameters.
-//! * [`pipeline`] — the driver: phase 1 + 2 per scheme, then the exact
-//!   verification pass. Because phase 3 is exact, the pipeline's output
+//! * [`pipeline`] — the driver, [`Pipeline::execute`]: phase 1 + 2 per
+//!   scheme, then the exact verification pass, over a streamed or resident
+//!   table as an [`ExecPlan`] directs (workers, memory budget, checkpoint,
+//!   cancellation). Because phase 3 is exact, the pipeline's output
 //!   contains **no false positives**; quality is entirely a matter of
 //!   false negatives, which is how the paper frames its §5 comparison.
 //! * [`verify`] — the phase-3 counting pass over a [`RowStream`].
 //! * [`checkpoint`] — crash-safe checkpoint files for both streaming
-//!   passes, behind [`Pipeline::run_resumable`](pipeline::Pipeline::run_resumable).
+//!   passes, enabled by an [`ExecPlan`]'s `checkpoint`.
 //! * [`spill`] — checksummed shard spill files for out-of-core mining
-//!   under a [`MemoryBudget`], behind
-//!   [`Pipeline::run_sharded`](pipeline::Pipeline::run_sharded).
+//!   under a [`MemoryBudget`], enabled by an [`ExecPlan`]'s `budget`.
 //! * [`durable`] — crash-consistent atomic writes (fsync file, then
 //!   parent dir), seeded write-side fault injection, and the startup
 //!   recovery sweep that quarantines corrupt or stale state.
 //! * [`shutdown`] — signal/deadline cancellation: the [`CancelToken`]
-//!   the streaming pipelines poll so a `SIGTERM` flushes a resumable
+//!   every run polls so a `SIGTERM` flushes a resumable
 //!   checkpoint instead of losing the pass.
 //! * [`sigcache`] — the config-fingerprinted signature cache: phase-1
 //!   sketches keyed on `(scheme kind, k, seed, table shape)` so repeated
@@ -69,7 +70,7 @@ pub use metrics::{
     KernelMetrics, MetricsDocument, MiningMetrics, PassMetrics, Phase1Metrics, RecoveryMetrics,
     ServingMetrics, ShardingMetrics, StageCount, VerifyMetrics, METRICS_SCHEMA_VERSION,
 };
-pub use pipeline::{MemoryBudget, Pipeline};
+pub use pipeline::{ExecPlan, MemoryBudget, Pipeline, Source};
 pub use quality::{evaluate_quality, QualityReport, SCurveBin};
 pub use report::{MiningResult, PhaseTimings, VerifiedPair};
 pub use shutdown::{install_signal_handlers, CancelToken, ThrottledCancel};

@@ -195,10 +195,10 @@ impl FromJson for RecoveryMetrics {
     }
 }
 
-/// Out-of-core accounting for a budgeted sharded run
-/// ([`Pipeline::run_sharded`](crate::Pipeline::run_sharded)): how the
+/// Out-of-core accounting for a run under a
+/// [`MemoryBudget`](crate::MemoryBudget): how the
 /// pair space was partitioned, what was spilled, and the peak of the
-/// budget-tracked state. Emitted only by sharded runs — in-memory runs
+/// budget-tracked state. Emitted only by budgeted runs — unbudgeted runs
 /// omit the `sharding` object entirely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardingMetrics {
@@ -323,9 +323,10 @@ impl FromJson for ServingMetrics {
 
 /// Kernel-layer accounting of the in-memory phase 3 (schema v6): which
 /// SIMD arm the process dispatched to and what the roaring-style hybrid
-/// containers cost versus dense bitmaps. Emitted only by runs that
-/// exercised the in-memory verifier — streaming and sharded runs omit
-/// the `kernels` object entirely.
+/// containers cost versus dense bitmaps, summed over a budgeted run's
+/// verify groups. Emitted only by runs over a resident table, which
+/// exercise the in-memory verifier — streamed runs omit the `kernels`
+/// object entirely.
 ///
 /// `dispatch_arm` is machine-dependent (`"avx2"` on most x86-64 hosts,
 /// `"scalar"` under `--kernel scalar`); `bench-diff` strips it alongside
@@ -377,6 +378,23 @@ impl FromJson for KernelMetrics {
             container_bytes: u64::from_json(json.req("container_bytes")?)?,
             raw_bitmap_bytes: u64::from_json(json.req("raw_bitmap_bytes")?)?,
         })
+    }
+}
+
+impl KernelMetrics {
+    /// Totals over two in-memory verify groups of one run: containers are
+    /// used only if both groups used them, and the tallies add.
+    #[must_use]
+    pub(crate) fn merge(self, other: Self) -> Self {
+        Self {
+            dispatch_arm: self.dispatch_arm,
+            used_containers: self.used_containers && other.used_containers,
+            array_containers: self.array_containers + other.array_containers,
+            bitmap_containers: self.bitmap_containers + other.bitmap_containers,
+            run_containers: self.run_containers + other.run_containers,
+            container_bytes: self.container_bytes + other.container_bytes,
+            raw_bitmap_bytes: self.raw_bitmap_bytes + other.raw_bitmap_bytes,
+        }
     }
 }
 

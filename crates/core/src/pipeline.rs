@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use sfa_hash::bucket::{PairShard, ShardPassOutcome};
 use sfa_lsh::{hlsh_candidates, mlsh_candidates, HLshParams, MLshParams};
-use sfa_matrix::{MatrixError, MemoryRowStream, Result, RowMajorMatrix, RowStream, ScanCounter};
+use sfa_matrix::{MatrixError, Result, RowMajorMatrix, RowStream, ScanCounter};
 use sfa_minhash::hashcount::{kmh_candidates, mh_candidates};
 use sfa_minhash::rowsort::rowsort_candidates;
 use sfa_minhash::{
@@ -19,13 +19,14 @@ use crate::checkpoint::{self, CheckpointSpec, Phase1State, RunKey};
 use crate::config::{PipelineConfig, Scheme};
 use crate::durable;
 use crate::metrics::{
-    MiningMetrics, Phase1Metrics, RecoveryMetrics, ShardingMetrics, VerifyMetrics,
+    KernelMetrics, MiningMetrics, PassMetrics, Phase1Metrics, RecoveryMetrics, ShardingMetrics,
+    VerifyMetrics,
 };
 use crate::report::{MiningResult, PhaseTimings, VerifiedPair};
 use crate::shutdown::{CancelToken, CANCEL_POLL_STRIDE};
 use crate::sigcache::SignatureCache;
 use crate::spill;
-use crate::verify::{verify_candidates_resumable, verify_candidates_with_stats};
+use crate::verify::{verify_candidates_in_memory_pool_with_report, verify_candidates_resumable};
 
 /// Seed-derivation labels, so each pipeline component gets an independent
 /// stream from the one root seed.
@@ -108,39 +109,18 @@ impl Pipeline {
         &self,
         stream: &mut S,
     ) -> Result<(Vec<CandidatePair>, PhaseTimings)> {
-        let (candidates, timings, _) =
-            self.candidates_with_metrics(Table::Stream(stream), &ThreadPool::new(1))?;
+        let mut timings = PhaseTimings::default();
+        let t = Instant::now();
+        let (summary, _) = self.phase1(Table::Stream(stream))?;
+        timings.signatures = t.elapsed();
+        let t = Instant::now();
+        let (candidates, _, _) =
+            self.generate(&summary, PairShard::all(), usize::MAX, &ThreadPool::new(1));
+        timings.candidates = t.elapsed();
         Ok((candidates, timings))
     }
 
-    /// Phases 1 + 2 of every unsharded run mode, with the observability
-    /// counters: signature bytes, phase-1 provenance, per-stage candidate
-    /// counts, bucket occupancy. The pass-scan fields stay zero here —
-    /// each run mode fills them from its own scan accounting.
-    fn candidates_with_metrics<S: RowStream>(
-        &self,
-        table: Table<'_, '_, S>,
-        pool: &ThreadPool,
-    ) -> Result<(Vec<CandidatePair>, PhaseTimings, MiningMetrics)> {
-        let mut timings = PhaseTimings::default();
-        let mut metrics = MiningMetrics {
-            scheme: self.config.scheme.name().to_owned(),
-            ..MiningMetrics::default()
-        };
-        let t = Instant::now();
-        let (summary, phase1) = self.phase1(table)?;
-        timings.signatures = t.elapsed();
-        metrics.phase1 = phase1;
-        metrics.signature_bytes = summary.heap_bytes();
-        let t = Instant::now();
-        let (candidates, stats, _) = self.generate(&summary, PairShard::all(), usize::MAX, pool);
-        timings.candidates = t.elapsed();
-        metrics.absorb_candidate_stats(stats);
-        metrics.candidates_generated = candidates.len() as u64;
-        Ok((candidates, timings, metrics))
-    }
-
-    /// Phase 1 of every run mode: the scheme's resident summary of
+    /// Phase 1 of every run: the scheme's resident summary of
     /// `table`. MH-family sketches go through the signature cache — a hit
     /// skips the table pass (and its checkpointing) entirely, a miss
     /// computes and stores. H-LSH "works directly on the data": `M_0` is
@@ -204,7 +184,7 @@ impl Pipeline {
         }
     }
 
-    /// Phase 2 of every run mode: one generation pass of the configured
+    /// Phase 2 of every run: one generation pass of the configured
     /// scheme over `summary`, counting only `shard`'s pairs with the pair
     /// counter capped at `cap_bytes` (see [`sfa_hash::count_pairs`]).
     fn generate(
@@ -272,153 +252,376 @@ impl Pipeline {
         }
     }
 
-    /// Runs the full three-phase pipeline.
+    /// [`execute`](Self::execute) over a stream with the default plan: one
+    /// worker, no budget, no checkpoint, never canceled. Streams the table
+    /// exactly twice.
     ///
     /// # Errors
     ///
     /// Propagates stream errors.
     pub fn run<S: RowStream>(&self, stream: &mut S) -> Result<MiningResult> {
-        self.run_with(stream, &CancelToken::default())
+        self.execute(
+            Source::Stream(stream),
+            &ExecPlan::new(&ThreadPool::new(1), &CancelToken::default()),
+        )
     }
 
-    /// [`run`](Self::run) with cooperative cancellation: `cancel` is
-    /// polled at the pass boundaries and after every verify-pass row. A
-    /// plain run keeps no on-disk state, so cancellation simply abandons
-    /// the work — use [`run_resumable_with`](Self::run_resumable_with)
-    /// when an interrupted run should leave a resumable frontier.
+    /// [`execute`](Self::execute) over a resident matrix on `pool`, which
+    /// several runs (e.g. a benchmark sweep) can share.
+    #[must_use]
+    pub fn run_pool(&self, matrix: &RowMajorMatrix, pool: &ThreadPool) -> MiningResult {
+        self.execute(
+            Source::Resident(matrix),
+            &ExecPlan::new(pool, &CancelToken::default()),
+        )
+        .expect("a resident run without budget or checkpoint does no fallible IO")
+    }
+
+    /// [`execute`](Self::execute) over a stream on one worker under
+    /// `budget`, checkpointing when `checkpoint` is given.
     ///
     /// # Errors
     ///
-    /// Propagates stream errors; returns [`MatrixError::Canceled`] when
-    /// `cancel` fires.
-    pub fn run_with<S: RowStream>(
+    /// As [`execute`](Self::execute).
+    pub fn run_sharded<S: RowStream>(
         &self,
         stream: &mut S,
-        cancel: &CancelToken,
+        budget: &MemoryBudget,
+        checkpoint: Option<&CheckpointSpec>,
     ) -> Result<MiningResult> {
-        cancel.check()?;
-        let mut scan = ScanCounter::new(&mut *stream);
-        let (candidates, mut timings, mut metrics) =
-            self.candidates_with_metrics(Table::Stream(&mut scan), &ThreadPool::new(1))?;
-        cancel.check()?;
-        scan.reset()?;
-        let t = Instant::now();
-        let (verified, column_counts, probes) = verify_candidates_resumable(
-            &mut scan,
-            &candidates,
-            None,
-            u64::MAX,
-            &mut |_| Ok(()),
-            cancel,
-        )?;
-        timings.verify = t.elapsed();
-        let passes = scan.pass_scans();
-        metrics.signature_pass = passes.first().copied().unwrap_or_default().into();
-        metrics.verify_pass = passes.get(1).copied().unwrap_or_default().into();
-        metrics.verification = self.verification_metrics(&verified, probes);
-        Ok(MiningResult {
-            config: self.config,
-            verified,
-            column_counts,
-            timings,
-            metrics,
-        })
+        self.execute(
+            Source::Stream(stream),
+            &ExecPlan {
+                budget: Some(budget),
+                checkpoint,
+                ..ExecPlan::new(&ThreadPool::new(1), &CancelToken::default())
+            },
+        )
     }
 
-    /// [`run`](Self::run) with checkpoint/resume: both streaming passes
-    /// persist their partial state into `spec.dir` every `spec.every_rows`
-    /// rows (phase 1 checkpoints the signature builder, phase 3 the
-    /// verification frontier), so a rerun after a crash fast-forwards past
-    /// the checkpointed prefix and re-reads only the unprocessed suffix.
+    /// Runs the three phases over `source` as `plan` directs. This is the
+    /// one execution path: every plan gives the same verified pairs and
+    /// column counts, so the plan only trades memory, durability and
+    /// parallelism.
     ///
-    /// Output is byte-identical to an uninterrupted [`run`](Self::run);
-    /// `metrics.recovery` reports how many checkpoints were written and the
-    /// row cursor a resumed run continued from. Checkpoints are tied to the
-    /// exact `(configuration, table)` pair — stale or mismatched state is
-    /// ignored, never resumed into — and are deleted once the run
-    /// completes. The H-LSH scheme materializes the matrix up front and has
-    /// no incremental phase-1 state, so only its verify pass checkpoints.
+    /// 1. **Recovery.** The plan's spill and checkpoint directories are
+    ///    swept by [`durable::recover_dir`]: stray `.tmp` files are
+    ///    deleted, and corrupt or stale state is quarantined (reported in
+    ///    `metrics.recovery`) rather than trusted or fatal.
+    /// 2. **Phase 1** builds the scheme's resident summary in one pass: a
+    ///    stream is read once (resuming from and writing checkpoints when
+    ///    the plan has one), a resident matrix is sketched on the pool, and
+    ///    a signature-cache hit skips the table entirely.
+    /// 3. **Phase 2** generates candidates. Without a budget that is one
+    ///    pass over every pair. Under a budget the pair space is split into
+    ///    `G` column shards ([`PairShard`]), each generated with a
+    ///    budget-capped counter and spilled to `budget.spill_dir` as a
+    ///    checksummed `.sfsp` file; when a shard overflows, `G` doubles and
+    ///    generation restarts. A rerun adopts the widest partition already
+    ///    spilled and skips its finished shards.
+    /// 4. **Phase 3** verifies exactly, once per *verify group*: shards
+    ///    packed greedily so a group's candidate state fits the budget (one
+    ///    group without a budget). A streamed group rescans the table,
+    ///    resuming from a matching checkpointed frontier; a resident group
+    ///    counts against the column-major transpose on the pool. Under a
+    ///    budget each group's result spills, so a killed run redoes at most
+    ///    one shard's generation plus one group's verification.
+    ///
+    /// `plan.cancel` is polled before phase 1, before every shard and
+    /// every verify group, and after every row of a streamed pass. A
+    /// checkpointed pass flushes its state before returning, so a rerun
+    /// with the same plan resumes from that frontier. Phase 1 of a
+    /// checkpointed stream polls only per row, so even an expired token
+    /// leaves a frontier behind.
+    ///
+    /// Sharding is exact: every pair belongs to exactly one shard, and the
+    /// verified pairs are merged back into `(i, j)` order. The stage
+    /// counters that count work done (counter increments, bucket
+    /// occupancy) are summed over shard passes. `metrics.sharding`
+    /// (budgeted runs) reports shards, restarts, passes, spill volume and
+    /// peak tracked pair-state bytes; `metrics.kernels` (resident runs)
+    /// sums the in-memory verifier's container tallies over groups. A
+    /// completed run deletes its spill and checkpoint files.
     ///
     /// # Errors
     ///
-    /// Propagates stream and checkpoint-IO errors.
-    pub fn run_resumable<S: RowStream>(
-        &self,
-        stream: &mut S,
-        spec: &CheckpointSpec,
-    ) -> Result<MiningResult> {
-        self.run_resumable_with(stream, spec, &CancelToken::default())
-    }
-
-    /// [`run_resumable`](Self::run_resumable) with cooperative
-    /// cancellation. `cancel` is polled after every processed row; when it
-    /// fires, the current pass flushes its state to the checkpoint
-    /// directory first and the run returns [`MatrixError::Canceled`] — a
-    /// rerun with the same `spec` resumes from that frontier. This is the
-    /// entry point behind the CLI's graceful `SIGINT`/`SIGTERM` and
-    /// `--deadline-secs` handling (exit code 3).
-    ///
-    /// Before any work, the checkpoint directory is swept by
-    /// [`durable::recover_dir`]: stray `.tmp` files are deleted and
-    /// corrupt or stale checkpoints are quarantined (reported in
-    /// `metrics.recovery`) rather than trusted or fatal.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream and checkpoint-IO errors; returns
-    /// [`MatrixError::Canceled`] when `cancel` fires.
-    pub fn run_resumable_with<S: RowStream>(
-        &self,
-        stream: &mut S,
-        spec: &CheckpointSpec,
-        cancel: &CancelToken,
-    ) -> Result<MiningResult> {
-        let key = RunKey::new(&self.config, stream.n_rows(), stream.n_cols());
-        let recovered = durable::recover_dir(&spec.dir, key)?;
-        let mut recovery = RecoveryMetrics {
-            files_quarantined: recovered.files_quarantined,
-            tmp_files_removed: recovered.tmp_files_removed,
-            ..RecoveryMetrics::default()
+    /// Propagates stream, spill and checkpoint IO errors; returns
+    /// [`MatrixError::Canceled`] when `plan.cancel` fires; and reports a
+    /// budget below [`MemoryBudget::MIN_BYTES`] (or one no partition of
+    /// this table can satisfy) as [`MatrixError::DimensionMismatch`].
+    pub fn execute(&self, source: Source<'_>, plan: &ExecPlan<'_>) -> Result<MiningResult> {
+        let cfg = &self.config;
+        if let Some(budget) = plan.budget.filter(|b| b.bytes < MemoryBudget::MIN_BYTES) {
+            return Err(MatrixError::DimensionMismatch {
+                detail: format!(
+                    "memory budget of {} bytes is below the {}-byte minimum (one empty pair-counter table)",
+                    budget.bytes,
+                    MemoryBudget::MIN_BYTES
+                ),
+            });
+        }
+        let (n_rows, n_cols) = source.dims();
+        let key = RunKey::new(cfg, n_rows, n_cols);
+        let spill_dir = plan.budget.map(|b| b.spill_dir.as_path());
+        let ckpt_dir = plan.checkpoint.map(|c| c.dir.as_path());
+        let mut recovery = RecoveryMetrics::default();
+        for dir in [spill_dir, ckpt_dir.filter(|&d| Some(d) != spill_dir)]
+            .into_iter()
+            .flatten()
+        {
+            let swept = durable::recover_dir(dir, key)?;
+            recovery.files_quarantined += swept.files_quarantined;
+            recovery.tmp_files_removed += swept.tmp_files_removed;
+        }
+        let mut timings = PhaseTimings::default();
+        let mut metrics = MiningMetrics {
+            scheme: cfg.scheme.name().to_owned(),
+            threads: plan.pool.threads() as u64,
+            ..MiningMetrics::default()
         };
-        let mut scan = ScanCounter::new(&mut *stream);
-        let ckpt = Checkpointing {
-            spec,
-            key,
-            recovery: &mut recovery,
-            cancel,
+        let mut rows = match source {
+            Source::Stream(stream) => Rows::Stream(ScanCounter::new(stream)),
+            Source::Resident(matrix) => Rows::Resident(matrix),
         };
-        let (candidates, mut timings, mut metrics) =
-            self.candidates_with_metrics(Table::Resumable(&mut scan, ckpt), &ThreadPool::new(1))?;
-        cancel.check()?;
-        scan.reset()?;
-        let fp = checkpoint::candidates_fingerprint(&candidates);
-        let resume = checkpoint::load_phase3(spec, key, fp);
-        if let Some(s) = &resume {
-            recovery.resumed_from_row = recovery.resumed_from_row.max(s.progress.rows_done);
+
+        // Phase 1. A checkpointed pass polls `cancel` per row after
+        // flushing its frontier, so only the other tables are polled here.
+        let table = match (&mut rows, plan.checkpoint) {
+            (&mut Rows::Resident(matrix), _) => Table::Resident(matrix, plan.pool),
+            (Rows::Stream(scan), Some(spec)) => Table::Resumable(
+                scan,
+                Checkpointing {
+                    spec,
+                    key,
+                    recovery: &mut recovery,
+                    cancel: plan.cancel,
+                },
+            ),
+            (Rows::Stream(scan), None) => Table::Stream(scan),
+        };
+        if !matches!(table, Table::Resumable(..)) {
+            plan.cancel.check()?;
         }
         let t = Instant::now();
-        let mut checkpoints_written = 0u64;
-        let (verified, column_counts, probes) = verify_candidates_resumable(
-            &mut scan,
-            &candidates,
-            resume.map(|s| s.progress),
-            spec.every_rows,
-            &mut |p| {
-                checkpoint::save_phase3(spec, key, fp, p)?;
-                checkpoints_written += 1;
-                Ok(())
-            },
-            cancel,
-        )?;
+        let (summary, phase1) = self.phase1(table)?;
+        timings.signatures = t.elapsed();
+        let cache_hit = phase1.as_ref().is_some_and(|p| p.cache_hit);
+        metrics.phase1 = phase1;
+        metrics.signature_bytes = summary.heap_bytes();
+
+        // Phase 2: one generation pass per shard; without a budget, one
+        // shard holding every pair, kept in memory.
+        let cap = plan.budget.map_or(usize::MAX, |b| b.bytes);
+        let mut g = spill_dir
+            .and_then(|dir| spill::max_valid_shard_count(dir, key))
+            .unwrap_or(1);
+        let mut sharding = ShardingMetrics::default();
+        let mut shard_sizes: Vec<u64> = Vec::new();
+        let mut unspilled = None;
+        let t = Instant::now();
+        let width = 'attempt: loop {
+            let width = g;
+            shard_sizes.clear();
+            let mut stats = CandidateGenStats::default();
+            for s in 0..width {
+                // Shard boundary: everything before shard `s` is spilled,
+                // so stopping here loses at most one shard's work.
+                plan.cancel.check()?;
+                if let Some(cands) =
+                    spill_dir.and_then(|dir| spill::load_shard_candidates(dir, key, s, width))
+                {
+                    shard_sizes.push(cands.len() as u64);
+                    continue;
+                }
+                sharding.generation_passes += 1;
+                let (cands, part, outcome) =
+                    self.generate(&summary, PairShard::new(s, width), cap, plan.pool);
+                sharding.peak_tracked_bytes = sharding
+                    .peak_tracked_bytes
+                    .max(outcome.counter_bytes as u64);
+                if outcome.overflowed {
+                    if width >= MAX_SHARDS {
+                        return Err(MatrixError::DimensionMismatch {
+                            detail: format!(
+                                "memory budget of {cap} bytes cannot be met: a {width}-way shard partition still overflows"
+                            ),
+                        });
+                    }
+                    g = width * 2;
+                    sharding.shard_restarts += 1;
+                    continue 'attempt;
+                }
+                merge_stats(&mut stats, part);
+                shard_sizes.push(cands.len() as u64);
+                match spill_dir {
+                    Some(dir) => {
+                        sharding.spill_bytes +=
+                            spill::save_shard_candidates(dir, key, s, width, &cands)?;
+                    }
+                    None => unspilled = Some(cands),
+                }
+            }
+            metrics.absorb_candidate_stats(stats);
+            break width;
+        };
+        timings.candidates = t.elapsed();
+        metrics.candidates_generated = shard_sizes.iter().sum();
+
+        // Phase 3: pack shards greedily into groups whose candidate state
+        // fits the budget (a lone oversized shard still gets a group), and
+        // verify each group that has no spilled result.
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        let mut group_bytes = 0u64;
+        for (s, &size) in shard_sizes.iter().enumerate() {
+            let bytes = size * VERIFY_BYTES_PER_CANDIDATE;
+            match groups.last_mut() {
+                Some(group) if group_bytes + bytes <= cap as u64 => {
+                    group.push(s as u32);
+                    group_bytes += bytes;
+                }
+                _ => {
+                    groups.push(vec![s as u32]);
+                    group_bytes = bytes;
+                }
+            }
+        }
+        let mut verified = Vec::new();
+        let mut column_counts = vec![0u32; n_cols as usize];
+        let mut probes = 0u64;
+        let mut verify_passes = 0u64;
+        let mut columns = None;
+        let t = Instant::now();
+        for (group_idx, group) in groups.iter().enumerate() {
+            // Group boundary: finished groups have spilled results.
+            plan.cancel.check()?;
+            let candidates = match spill_dir {
+                None => unspilled.take().unwrap_or_default(),
+                Some(dir) => {
+                    let mut candidates = Vec::new();
+                    for &s in group {
+                        candidates.extend(
+                            spill::load_shard_candidates(dir, key, s, width).ok_or_else(|| {
+                                MatrixError::DimensionMismatch {
+                                    detail: format!(
+                                        "spilled shard {s} of {width} vanished mid-run"
+                                    ),
+                                }
+                            })?,
+                        );
+                    }
+                    candidates.sort_by_key(CandidatePair::ids);
+                    candidates
+                }
+            };
+            sharding.peak_tracked_bytes = sharding
+                .peak_tracked_bytes
+                .max(candidates.len() as u64 * VERIFY_BYTES_PER_CANDIDATE);
+            let fp = checkpoint::candidates_fingerprint(&candidates);
+            let spilled =
+                spill_dir.and_then(|dir| spill::load_group_result(dir, key, group_idx, fp));
+            let (group_verified, group_counts, group_probes) = match spilled {
+                Some(result) => result,
+                None => {
+                    verify_passes += 1;
+                    let result = match &mut rows {
+                        // The in-memory verifier counts no per-pair probes,
+                        // so `intersection_work` stays 0 for a resident table.
+                        Rows::Resident(matrix) => {
+                            let columns = columns.get_or_insert_with(|| matrix.transpose());
+                            let (v, counts, report) = verify_candidates_in_memory_pool_with_report(
+                                columns,
+                                &candidates,
+                                plan.pool,
+                            );
+                            let report = KernelMetrics::from(report);
+                            metrics.kernels = Some(match metrics.kernels.take() {
+                                Some(acc) => acc.merge(report),
+                                None => report,
+                            });
+                            (v, counts, 0)
+                        }
+                        Rows::Stream(scan) => {
+                            scan.reset()?;
+                            let resume = plan
+                                .checkpoint
+                                .and_then(|spec| checkpoint::load_phase3(spec, key, fp));
+                            if let Some(s) = &resume {
+                                recovery.resumed_from_row =
+                                    recovery.resumed_from_row.max(s.progress.rows_done);
+                            }
+                            let mut written = 0u64;
+                            let result = verify_candidates_resumable(
+                                scan,
+                                &candidates,
+                                resume.map(|s| s.progress),
+                                plan.checkpoint.map_or(u64::MAX, |spec| spec.every_rows),
+                                &mut |p| {
+                                    if let Some(spec) = plan.checkpoint {
+                                        checkpoint::save_phase3(spec, key, fp, p)?;
+                                        written += 1;
+                                    }
+                                    Ok(())
+                                },
+                                plan.cancel,
+                            )?;
+                            recovery.checkpoints_written += written;
+                            result
+                        }
+                    };
+                    if let Some(dir) = spill_dir {
+                        sharding.spill_bytes += spill::save_group_result(
+                            dir, key, group_idx, fp, &result.0, &result.1, result.2,
+                        )?;
+                    }
+                    result
+                }
+            };
+            verified.extend(group_verified);
+            // Every group's pass counts all columns, so the vectors agree;
+            // max keeps the merge idempotent.
+            for (acc, v) in column_counts.iter_mut().zip(&group_counts) {
+                *acc = (*acc).max(*v);
+            }
+            probes += group_probes;
+        }
+        verified.sort_by_key(|p| (p.i, p.j));
         timings.verify = t.elapsed();
-        recovery.checkpoints_written += checkpoints_written;
-        checkpoint::clear(spec)?;
-        durable::remove_manifest(&spec.dir)?;
-        let passes = scan.pass_scans();
-        metrics.signature_pass = passes.first().copied().unwrap_or_default().into();
-        metrics.verify_pass = passes.get(1).copied().unwrap_or_default().into();
+
+        match &rows {
+            Rows::Stream(scan) => {
+                let passes = scan.pass_scans();
+                metrics.signature_pass = passes.first().copied().unwrap_or_default().into();
+                for p in passes.iter().skip(1) {
+                    metrics.verify_pass.rows_scanned += p.rows;
+                    metrics.verify_pass.nonzeros_scanned += p.nonzeros;
+                }
+            }
+            // A resident table is scanned whole by every pass it feeds.
+            Rows::Resident(matrix) => {
+                let scans = |n: u64| PassMetrics {
+                    rows_scanned: u64::from(matrix.n_rows()) * n,
+                    nonzeros_scanned: matrix.nnz() as u64 * n,
+                };
+                metrics.signature_pass = scans(u64::from(!cache_hit));
+                metrics.verify_pass = scans(verify_passes);
+            }
+        }
         metrics.verification = self.verification_metrics(&verified, probes);
         metrics.recovery = recovery;
+        metrics.sharding = plan.budget.map(|b| ShardingMetrics {
+            memory_budget: b.bytes as u64,
+            shards: u64::from(width),
+            verify_groups: groups.len() as u64,
+            ..sharding
+        });
+        if let Some(dir) = spill_dir {
+            spill::clear(dir)?;
+            durable::remove_manifest(dir)?;
+        }
+        if let Some(spec) = plan.checkpoint {
+            checkpoint::clear(spec)?;
+            durable::remove_manifest(&spec.dir)?;
+        }
         Ok(MiningResult {
             config: self.config,
             verified,
@@ -427,6 +630,68 @@ impl Pipeline {
             metrics,
         })
     }
+}
+
+/// Where [`Pipeline::execute`] reads the table from.
+pub enum Source<'a> {
+    /// A row stream: phase 1 and every verification pass scan it in order,
+    /// so the table never has to fit in memory.
+    Stream(&'a mut dyn RowStream),
+    /// A resident table: phase 1 sketches it on the plan's pool and phase
+    /// 3 verifies against its column-major transpose.
+    Resident(&'a RowMajorMatrix),
+}
+
+impl Source<'_> {
+    /// `(rows, columns)` of the table.
+    fn dims(&self) -> (u32, u32) {
+        match self {
+            Self::Stream(stream) => (stream.n_rows(), stream.n_cols()),
+            Self::Resident(matrix) => (matrix.n_rows(), matrix.n_cols()),
+        }
+    }
+}
+
+/// How [`Pipeline::execute`] runs. No field changes the output; each only
+/// trades memory, durability or parallelism.
+#[derive(Clone, Copy)]
+pub struct ExecPlan<'a> {
+    /// Workers for every pool-parallel step: resident phase 1, phase-2
+    /// counting and resident verification. A budget-capped count runs on
+    /// one worker whatever the pool size.
+    pub pool: &'a ThreadPool,
+    /// Caps pair-space state: phase 2 runs as spilled shard passes and
+    /// phase 3 as one pass per verify group.
+    pub budget: Option<&'a MemoryBudget>,
+    /// Makes a streamed run resumable: both streaming passes checkpoint
+    /// their row frontier into `spec.dir`, and a rerun continues from it.
+    /// Checkpoints are tied to the exact `(configuration, table)` pair;
+    /// stale state is never resumed into. A resident source has no row
+    /// frontier, so its directory is only swept and cleared.
+    pub checkpoint: Option<&'a CheckpointSpec>,
+    /// Cooperative cancellation, polled at every phase, shard and
+    /// verify-group boundary and after every streamed row.
+    pub cancel: &'a CancelToken,
+}
+
+impl<'a> ExecPlan<'a> {
+    /// A plan on `pool` polling `cancel`, with no budget and no checkpoint.
+    #[must_use]
+    pub const fn new(pool: &'a ThreadPool, cancel: &'a CancelToken) -> Self {
+        Self {
+            pool,
+            budget: None,
+            checkpoint: None,
+            cancel,
+        }
+    }
+}
+
+/// The table as the driver holds it: a stream behind a scan counter (for
+/// the pass metrics), or resident.
+enum Rows<'a> {
+    Stream(ScanCounter<&'a mut dyn RowStream>),
+    Resident(&'a RowMajorMatrix),
 }
 
 /// Where phase 1 reads the table from.
@@ -591,54 +856,6 @@ fn save_kmh_state(spec: &CheckpointSpec, key: RunKey, builder: &KmhBuilder) -> R
     )
 }
 
-impl Pipeline {
-    /// Parallel in-memory run: every phase of every scheme executes over
-    /// one caller-owned [`sfa_par::ThreadPool`] — signature computation,
-    /// candidate generation (every scheme counts through the shared
-    /// pool-parallel kernel) and exact verification — so several runs
-    /// (e.g. a benchmark sweep) can share one set of workers. Output is
-    /// byte-identical to [`run`](Self::run) for every scheme at every
-    /// thread count; `metrics.threads` records the pool size.
-    #[must_use]
-    pub fn run_pool(&self, matrix: &RowMajorMatrix, pool: &ThreadPool) -> MiningResult {
-        let (candidates, mut timings, mut metrics) = self
-            .candidates_with_metrics(Table::<MemoryRowStream>::Resident(matrix, pool), pool)
-            .expect("a resident matrix cannot fail to read");
-        metrics.threads = pool.threads() as u64;
-        // Phase 3: the matrix is resident, so verify against its
-        // column-major transpose with the bitmap kernels instead of
-        // re-scanning rows (streaming, checkpoint, and fault-injection
-        // paths keep the row scan).
-        let t = Instant::now();
-        let columns = matrix.transpose();
-        let (verified, column_counts, kernel_report) =
-            crate::verify::verify_candidates_in_memory_pool_with_report(
-                &columns,
-                &candidates,
-                pool,
-            );
-        timings.verify = t.elapsed();
-        metrics.kernels = Some(kernel_report.into());
-        // Both passes scan the whole in-memory matrix; the in-memory
-        // verifier does not count per-pair probes, so `intersection_work`
-        // stays 0 on this path (use `run` for the full counters).
-        let full_scan = crate::metrics::PassMetrics {
-            rows_scanned: u64::from(matrix.n_rows()),
-            nonzeros_scanned: matrix.nnz() as u64,
-        };
-        metrics.signature_pass = full_scan;
-        metrics.verify_pass = full_scan;
-        metrics.verification = self.verification_metrics(&verified, 0);
-        MiningResult {
-            config: self.config,
-            verified,
-            column_counts,
-            timings,
-            metrics,
-        }
-    }
-}
-
 /// Reads a whole stream into a row-major matrix (used by H-LSH).
 fn materialize<S: RowStream>(stream: &mut S) -> Result<RowMajorMatrix> {
     let n_cols = stream.n_cols();
@@ -733,297 +950,6 @@ fn merge_stats(acc: &mut CandidateGenStats, part: CandidateGenStats) {
     }
     for (a, b) in acc.bucket_histogram.iter_mut().zip(part.bucket_histogram) {
         *a += b;
-    }
-}
-
-impl Pipeline {
-    /// Runs the pipeline with its pair-space state capped at
-    /// `budget.bytes`, spilling per-shard candidate sets to disk.
-    ///
-    /// The pair space is partitioned into `G` column shards
-    /// ([`PairShard`]); each shard's candidates are generated in an
-    /// independent pass over the resident phase-1 summary with a
-    /// budget-capped counter, then spilled to `budget.spill_dir` as a
-    /// checksummed `.sfsp` file. If any shard's counter would outgrow the
-    /// budget, `G` doubles and generation restarts at the finer partition.
-    /// Verification then streams the table once per *shard group* — shards
-    /// packed greedily so one group's candidate state fits the budget —
-    /// and each group's result is spilled too.
-    ///
-    /// Output is **byte-identical** to [`run`](Self::run): every pair
-    /// belongs to exactly one shard, so the union of shard candidate sets
-    /// equals the unsharded candidate set, and the final merge sorts
-    /// verified pairs into the same `(i, j)` order. `metrics.sharding`
-    /// reports the shard count, restarts, passes, spill volume and peak
-    /// tracked pair-state bytes; with `checkpoint` given, both streaming
-    /// passes also checkpoint (resume semantics as
-    /// [`run_resumable`](Self::run_resumable)), and because finished
-    /// shards and groups live in spill files, a killed run re-does at most
-    /// one shard's generation plus one group's scan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream and spill-IO errors, and reports a budget below
-    /// [`MemoryBudget::MIN_BYTES`] (or one no partition of this table can
-    /// satisfy) as [`MatrixError::DimensionMismatch`].
-    pub fn run_sharded<S: RowStream>(
-        &self,
-        stream: &mut S,
-        budget: &MemoryBudget,
-        checkpoint: Option<&CheckpointSpec>,
-    ) -> Result<MiningResult> {
-        self.run_sharded_with(stream, budget, checkpoint, &CancelToken::default())
-    }
-
-    /// [`run_sharded`](Self::run_sharded) with cooperative cancellation.
-    /// `cancel` is polled at shard and verify-group boundaries and (with
-    /// `checkpoint` given) after every streamed row; finished shards and
-    /// groups are already spilled when it fires, so a rerun redoes at most
-    /// the interrupted piece. Both state directories are swept by
-    /// [`durable::recover_dir`] first — stray `.tmp` files deleted,
-    /// corrupt or stale spills and checkpoints quarantined (reported in
-    /// `metrics.recovery`).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_sharded`](Self::run_sharded); returns
-    /// [`MatrixError::Canceled`] when `cancel` fires.
-    pub fn run_sharded_with<S: RowStream>(
-        &self,
-        stream: &mut S,
-        budget: &MemoryBudget,
-        checkpoint: Option<&CheckpointSpec>,
-        cancel: &CancelToken,
-    ) -> Result<MiningResult> {
-        if budget.bytes < MemoryBudget::MIN_BYTES {
-            return Err(MatrixError::DimensionMismatch {
-                detail: format!(
-                    "memory budget of {} bytes is below the {}-byte minimum (one empty pair-counter table)",
-                    budget.bytes,
-                    MemoryBudget::MIN_BYTES
-                ),
-            });
-        }
-        let cfg = &self.config;
-        let key = RunKey::new(cfg, stream.n_rows(), stream.n_cols());
-        let mut recovered = durable::recover_dir(&budget.spill_dir, key)?;
-        if let Some(spec) = checkpoint {
-            if spec.dir != budget.spill_dir {
-                recovered = recovered.merge(durable::recover_dir(&spec.dir, key)?);
-            }
-        }
-        let mut recovery = RecoveryMetrics {
-            files_quarantined: recovered.files_quarantined,
-            tmp_files_removed: recovered.tmp_files_removed,
-            ..RecoveryMetrics::default()
-        };
-        let mut timings = PhaseTimings::default();
-        let mut metrics = MiningMetrics {
-            scheme: cfg.scheme.name().to_owned(),
-            ..MiningMetrics::default()
-        };
-        let mut scan = ScanCounter::new(&mut *stream);
-
-        // Phase 1: one streaming pass into the resident summary (skipped
-        // entirely on a signature-cache hit).
-        let t = Instant::now();
-        let table = match checkpoint {
-            Some(spec) => Table::Resumable(
-                &mut scan,
-                Checkpointing {
-                    spec,
-                    key,
-                    recovery: &mut recovery,
-                    cancel,
-                },
-            ),
-            None => Table::Stream(&mut scan),
-        };
-        let (summary, phase1) = self.phase1(table)?;
-        metrics.phase1 = phase1;
-        timings.signatures = t.elapsed();
-        metrics.signature_bytes = summary.heap_bytes();
-
-        // Phase 2: generate each shard under the cap, doubling the
-        // partition whenever a shard overflows. An interrupted run's spill
-        // files let a rerun adopt the widest partition already on disk and
-        // skip every shard spilled there.
-        // A bounded cap counts on one worker into one table.
-        let pool = ThreadPool::new(1);
-        let mut g = spill::max_valid_shard_count(&budget.spill_dir, key).unwrap_or(1);
-        let mut shard_restarts = 0u64;
-        let mut generation_passes = 0u64;
-        let mut spill_bytes = 0u64;
-        let mut peak_tracked_bytes = 0u64;
-        let mut shard_sizes: Vec<u64> = Vec::new();
-        let t = Instant::now();
-        'attempt: loop {
-            let width = g;
-            shard_sizes.clear();
-            let mut acc_stats = CandidateGenStats::default();
-            for s in 0..width {
-                // Shard boundary: everything before shard `s` is spilled,
-                // so stopping here loses at most one shard's work.
-                cancel.check()?;
-                if let Some(cands) = spill::load_shard_candidates(&budget.spill_dir, key, s, width)
-                {
-                    shard_sizes.push(cands.len() as u64);
-                    continue;
-                }
-                generation_passes += 1;
-                let (cands, stats, outcome) =
-                    self.generate(&summary, PairShard::new(s, width), budget.bytes, &pool);
-                peak_tracked_bytes = peak_tracked_bytes.max(outcome.counter_bytes as u64);
-                if outcome.overflowed {
-                    if width >= MAX_SHARDS {
-                        return Err(MatrixError::DimensionMismatch {
-                            detail: format!(
-                                "memory budget of {} bytes cannot be met: a {width}-way shard partition still overflows",
-                                budget.bytes
-                            ),
-                        });
-                    }
-                    g = width * 2;
-                    shard_restarts += 1;
-                    continue 'attempt;
-                }
-                merge_stats(&mut acc_stats, stats);
-                spill_bytes +=
-                    spill::save_shard_candidates(&budget.spill_dir, key, s, width, &cands)?;
-                shard_sizes.push(cands.len() as u64);
-            }
-            metrics.absorb_candidate_stats(acc_stats);
-            break;
-        }
-        timings.candidates = t.elapsed();
-        metrics.candidates_generated = shard_sizes.iter().sum();
-
-        // Phase 3: pack shards greedily into groups whose candidate state
-        // fits the budget (a lone oversized shard still gets a group), and
-        // stream the table once per group that has no spilled result.
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        let mut group_bytes = 0u64;
-        for (s, &size) in shard_sizes.iter().enumerate() {
-            let bytes = size * VERIFY_BYTES_PER_CANDIDATE;
-            match groups.last_mut() {
-                Some(group) if group_bytes + bytes <= budget.bytes as u64 => {
-                    group.push(s as u32);
-                    group_bytes += bytes;
-                }
-                _ => {
-                    groups.push(vec![s as u32]);
-                    group_bytes = bytes;
-                }
-            }
-        }
-        let mut verified = Vec::new();
-        let mut column_counts = vec![0u32; scan.n_cols() as usize];
-        let mut probes = 0u64;
-        let t = Instant::now();
-        for (group_idx, group) in groups.iter().enumerate() {
-            // Group boundary: finished groups have spilled results.
-            cancel.check()?;
-            let mut candidates = Vec::new();
-            for &s in group {
-                candidates.extend(
-                    spill::load_shard_candidates(&budget.spill_dir, key, s, g).ok_or_else(
-                        || MatrixError::DimensionMismatch {
-                            detail: format!("spilled shard {s} of {g} vanished mid-run"),
-                        },
-                    )?,
-                );
-            }
-            candidates.sort_by_key(CandidatePair::ids);
-            peak_tracked_bytes =
-                peak_tracked_bytes.max(candidates.len() as u64 * VERIFY_BYTES_PER_CANDIDATE);
-            let fp = checkpoint::candidates_fingerprint(&candidates);
-            let (group_verified, group_counts, group_probes) =
-                match spill::load_group_result(&budget.spill_dir, key, group_idx, fp) {
-                    Some(result) => result,
-                    None => {
-                        scan.reset()?;
-                        let result = match checkpoint {
-                            Some(spec) => {
-                                let resume = checkpoint::load_phase3(spec, key, fp);
-                                if let Some(s) = &resume {
-                                    recovery.resumed_from_row =
-                                        recovery.resumed_from_row.max(s.progress.rows_done);
-                                }
-                                let mut written = 0u64;
-                                let result = verify_candidates_resumable(
-                                    &mut scan,
-                                    &candidates,
-                                    resume.map(|s| s.progress),
-                                    spec.every_rows,
-                                    &mut |p| {
-                                        checkpoint::save_phase3(spec, key, fp, p)?;
-                                        written += 1;
-                                        Ok(())
-                                    },
-                                    cancel,
-                                )?;
-                                recovery.checkpoints_written += written;
-                                result
-                            }
-                            None => verify_candidates_with_stats(&mut scan, &candidates)?,
-                        };
-                        spill_bytes += spill::save_group_result(
-                            &budget.spill_dir,
-                            key,
-                            group_idx,
-                            fp,
-                            &result.0,
-                            &result.1,
-                            result.2,
-                        )?;
-                        result
-                    }
-                };
-            verified.extend(group_verified);
-            // Every group's pass counts all columns, so the vectors agree;
-            // max keeps the merge idempotent.
-            for (acc, v) in column_counts.iter_mut().zip(&group_counts) {
-                *acc = (*acc).max(*v);
-            }
-            probes += group_probes;
-        }
-        verified.sort_by_key(|p| (p.i, p.j));
-        timings.verify = t.elapsed();
-
-        let passes = scan.pass_scans();
-        metrics.signature_pass = passes.first().copied().unwrap_or_default().into();
-        metrics.verify_pass =
-            passes[1..]
-                .iter()
-                .fold(crate::metrics::PassMetrics::default(), |mut acc, p| {
-                    acc.rows_scanned += p.rows;
-                    acc.nonzeros_scanned += p.nonzeros;
-                    acc
-                });
-        metrics.verification = self.verification_metrics(&verified, probes);
-        metrics.recovery = recovery;
-        metrics.sharding = Some(ShardingMetrics {
-            memory_budget: budget.bytes as u64,
-            shards: u64::from(g),
-            shard_restarts,
-            generation_passes,
-            verify_groups: groups.len() as u64,
-            spill_bytes,
-            peak_tracked_bytes,
-        });
-        spill::clear(&budget.spill_dir)?;
-        durable::remove_manifest(&budget.spill_dir)?;
-        if let Some(spec) = checkpoint {
-            checkpoint::clear(spec)?;
-            durable::remove_manifest(&spec.dir)?;
-        }
-        Ok(MiningResult {
-            config: self.config,
-            verified,
-            column_counts,
-            timings,
-            metrics,
-        })
     }
 }
 
@@ -1318,6 +1244,21 @@ mod tests {
         }
     }
 
+    /// Runs `pipeline` over `stream` on one worker, checkpointing into
+    /// `spec`.
+    fn run_resumable(
+        pipeline: Pipeline,
+        stream: &mut impl RowStream,
+        spec: &CheckpointSpec,
+    ) -> Result<MiningResult> {
+        let (pool, cancel) = (ThreadPool::new(1), CancelToken::default());
+        let plan = ExecPlan {
+            checkpoint: Some(spec),
+            ..ExecPlan::new(&pool, &cancel)
+        };
+        pipeline.execute(Source::Stream(stream), &plan)
+    }
+
     fn checkpoint_spec(name: &str) -> CheckpointSpec {
         let dir = std::env::temp_dir().join("sfa_pipeline_tests").join(name);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1334,9 +1275,8 @@ mod tests {
                 .unwrap();
             let spec =
                 checkpoint_spec(&format!("uninterrupted_{}", scheme.name())).with_every_rows(16);
-            let resumable = Pipeline::new(cfg)
-                .run_resumable(&mut MemoryRowStream::new(&m), &spec)
-                .unwrap();
+            let resumable =
+                run_resumable(Pipeline::new(cfg), &mut MemoryRowStream::new(&m), &spec).unwrap();
             assert_eq!(resumable.verified, plain.verified, "{}", scheme.name());
             assert_eq!(resumable.column_counts, plain.column_counts);
             // H-LSH has no phase-1 builder, but its verify pass
@@ -1374,17 +1314,13 @@ mod tests {
                 ..sfa_matrix::FaultConfig::default()
             };
             let mut stream = sfa_matrix::FaultyRowStream::new(MemoryRowStream::new(&m), faulty);
-            Pipeline::new(cfg)
-                .run_resumable(&mut stream, &spec)
-                .unwrap_err();
+            run_resumable(Pipeline::new(cfg), &mut stream, &spec).unwrap_err();
             assert!(spec.dir.join("phase1.sfcp").exists());
 
             // The rerun fast-forwards to row 32: it reads 70 − 32 = 38 rows
             // in the signature pass plus the full 70-row verify pass.
             let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
-            let resumed = Pipeline::new(cfg)
-                .run_resumable(&mut counter, &spec)
-                .unwrap();
+            let resumed = run_resumable(Pipeline::new(cfg), &mut counter, &spec).unwrap();
             assert_eq!(counter.rows_read(), 38 + 70, "{}", scheme.name());
             assert_eq!(resumed.metrics.recovery.resumed_from_row, 32);
             assert_eq!(resumed.verified, plain.verified, "{}", scheme.name());
@@ -1422,9 +1358,7 @@ mod tests {
             ..sfa_matrix::FaultConfig::default()
         };
         let mut attempt = sfa_matrix::FaultyRowStream::new(MemoryRowStream::new(&m), faulty);
-        Pipeline::new(cfg)
-            .run_resumable(&mut attempt, &spec)
-            .unwrap_err();
+        run_resumable(Pipeline::new(cfg), &mut attempt, &spec).unwrap_err();
         assert!(
             spec.dir.join("phase3.sfcp").exists(),
             "the crash must leave a phase-3 frontier checkpoint"
@@ -1434,9 +1368,7 @@ mod tests {
         // completed checkpoint (0 signature rows re-read), phase 3 from
         // the row-32 frontier (70 − 32 = 38 rows re-read).
         let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
-        let resumed = Pipeline::new(cfg)
-            .run_resumable(&mut counter, &spec)
-            .unwrap();
+        let resumed = run_resumable(Pipeline::new(cfg), &mut counter, &spec).unwrap();
         assert_eq!(counter.rows_read(), 38, "only the verify suffix is read");
         assert_eq!(resumed.metrics.recovery.resumed_from_row, 70);
         assert_eq!(resumed.verified, plain.verified);
@@ -1453,16 +1385,12 @@ mod tests {
             ..sfa_matrix::FaultConfig::default()
         };
         let mut stream = sfa_matrix::FaultyRowStream::new(MemoryRowStream::new(&m), faulty);
-        Pipeline::new(cfg_a)
-            .run_resumable(&mut stream, &spec)
-            .unwrap_err();
+        run_resumable(Pipeline::new(cfg_a), &mut stream, &spec).unwrap_err();
 
         // A different seed must not resume from cfg_a's checkpoint.
         let cfg_b = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.8, 12);
         let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
-        let result = Pipeline::new(cfg_b)
-            .run_resumable(&mut counter, &spec)
-            .unwrap();
+        let result = run_resumable(Pipeline::new(cfg_b), &mut counter, &spec).unwrap();
         assert_eq!(counter.rows_read(), 140, "both passes run in full");
         assert_eq!(result.metrics.recovery.resumed_from_row, 0);
         let plain = Pipeline::new(cfg_b)
@@ -1492,6 +1420,48 @@ mod tests {
             par.metrics.verification.true_positives,
             seq.metrics.verification.true_positives
         );
+    }
+
+    #[test]
+    fn run_pool_reports_no_signature_pass_on_a_cache_hit() {
+        let m = matrix();
+        let cache = spill_dir("pool-cache");
+        let cfg = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.8, 17);
+        let pipeline = Pipeline::new(cfg).with_signature_cache(&cache);
+        let pool = ThreadPool::new(2);
+        let miss = pipeline.run_pool(&m, &pool);
+        let hit = pipeline.run_pool(&m, &pool);
+        assert!(!miss.metrics.phase1.as_ref().unwrap().cache_hit);
+        assert_eq!(
+            miss.metrics.signature_pass.rows_scanned,
+            u64::from(m.n_rows())
+        );
+        assert!(hit.metrics.phase1.as_ref().unwrap().cache_hit);
+        assert_eq!(hit.metrics.signature_pass, PassMetrics::default());
+        assert_eq!(hit.metrics.verify_pass, miss.metrics.verify_pass);
+        assert_eq!(hit.verified, miss.verified);
+        let _ = std::fs::remove_dir_all(&cache);
+    }
+
+    #[test]
+    fn resident_runs_obey_cancellation() {
+        let m = dense_matrix();
+        let cfg = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.5, 11);
+        let d = spill_dir("resident-cancel");
+        let budget = MemoryBudget::new(MemoryBudget::MIN_BYTES, &d);
+        let (pool, cancel) = (ThreadPool::new(2), CancelToken::new());
+        cancel.cancel();
+        for budget in [None, Some(&budget)] {
+            let plan = ExecPlan {
+                budget,
+                ..ExecPlan::new(&pool, &cancel)
+            };
+            let err = Pipeline::new(cfg)
+                .execute(Source::Resident(&m), &plan)
+                .unwrap_err();
+            assert!(err.is_canceled(), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     /// A fresh spill directory under the system temp dir.

@@ -1,8 +1,9 @@
 //! Shard spill files for out-of-core mining (`.sfsp`).
 //!
-//! [`Pipeline::run_sharded`](crate::Pipeline::run_sharded) partitions the
-//! pair space into column shards, generates each shard's candidates under
-//! the memory budget, and spills them here so (a) only one shard group's
+//! A [`Pipeline::execute`](crate::Pipeline::execute) plan with a
+//! [`MemoryBudget`](crate::MemoryBudget) partitions the pair space into
+//! column shards, generates each shard's candidates under the memory
+//! budget, and spills them here so (a) only one shard group's
 //! candidate state is ever resident during verification and (b) a killed
 //! run can resume without regenerating finished shards. Two record kinds
 //! share one container format:

@@ -16,7 +16,7 @@
 //!
 //! `--scale large` adds a third dataset at paper-exceeding width — 10⁵
 //! columns, far past what the in-memory candidate phase was sized for —
-//! mined through [`Pipeline::run_sharded`] under a fixed
+//! mined through [`Pipeline::execute`] under a fixed
 //! [`MemoryBudget`], so the committed baseline also pins the sharding
 //! counters (shard count, spill bytes, generation passes). Without the
 //! flag only the two small datasets run.
@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use sfa_core::{
-    CancelToken, MemoryBudget, MiningResult, Pipeline, PipelineConfig, Scheme,
+    CancelToken, ExecPlan, MemoryBudget, MiningResult, Pipeline, PipelineConfig, Scheme, Source,
     METRICS_SCHEMA_VERSION,
 };
 use sfa_datagen::{SyntheticConfig, WeblogConfig};
@@ -440,12 +440,17 @@ fn sharded_run_json(result: &MiningResult) -> Json {
 /// the sparse-friendly variant and recovers the pairs in one shard.
 fn sharded_dataset_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) -> Json {
     let spill = std::env::temp_dir().join(format!("sfa-bench-spill-{}", std::process::id()));
+    let budget = MemoryBudget::new(LARGE_BUDGET_BYTES, spill.clone());
+    let (pool, cancel) = (ThreadPool::new(1), CancelToken::new());
+    let plan = ExecPlan {
+        budget: Some(&budget),
+        ..ExecPlan::new(&pool, &cancel)
+    };
     let mut runs = Vec::new();
     for scheme in schemes() {
         let pipeline = Pipeline::new(PipelineConfig::new(scheme, S_STAR, EXPERIMENT_SEED));
-        let budget = MemoryBudget::new(LARGE_BUDGET_BYTES, spill.clone());
         let result = pipeline
-            .run_sharded(&mut MemoryRowStream::new(rows), &budget, None)
+            .execute(Source::Stream(&mut MemoryRowStream::new(rows)), &plan)
             .expect("in-memory stream cannot fail");
         let sharding = result.metrics.sharding.as_ref().expect("sharded run");
         table.push(vec![

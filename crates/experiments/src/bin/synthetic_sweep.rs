@@ -13,15 +13,19 @@
 //!   10⁴ rows (the low end of its 10⁴–10⁶ row sweep), densities 1–5%,
 //!   20 planted pairs per band. At this width the MH-family phase-2
 //!   counter state runs to hundreds of megabytes, so the sweep mines
-//!   out-of-core through [`Pipeline::run_sharded`] under a 64 MiB budget
-//!   and reports the shard count per scheme.
+//!   out-of-core ([`Pipeline::execute`] with a [`MemoryBudget`] in its
+//!   plan) under a 64 MiB budget and reports the shard count per scheme.
 //!
-//! [`Pipeline::run_sharded`]: sfa_core::Pipeline
+//! [`Pipeline::execute`]: sfa_core::Pipeline::execute
+//! [`MemoryBudget`]: sfa_core::MemoryBudget
 
-use sfa_core::{MemoryBudget, MiningResult, Pipeline, PipelineConfig, Scheme};
+use sfa_core::{
+    CancelToken, ExecPlan, MemoryBudget, MiningResult, Pipeline, PipelineConfig, Scheme, Source,
+};
 use sfa_datagen::SyntheticConfig;
-use sfa_experiments::{print_table, run_scheme, write_csv, EXPERIMENT_SEED};
+use sfa_experiments::{print_table, write_csv, EXPERIMENT_SEED};
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
+use sfa_par::ThreadPool;
 
 /// Budget for the `--scale paper` sharded runs.
 const PAPER_BUDGET_BYTES: usize = 64 << 20;
@@ -56,12 +60,14 @@ fn schemes() -> [(&'static str, Scheme); 4] {
 
 /// Runs one scheme, sharded under the paper budget or in memory.
 fn run_one(rows: &RowMajorMatrix, scheme: Scheme, budget: Option<&MemoryBudget>) -> MiningResult {
-    match budget {
-        Some(budget) => Pipeline::new(PipelineConfig::new(scheme, S_STAR, EXPERIMENT_SEED))
-            .run_sharded(&mut MemoryRowStream::new(rows), budget, None)
-            .expect("in-memory stream cannot fail"),
-        None => run_scheme(rows, scheme, S_STAR, EXPERIMENT_SEED),
-    }
+    let (pool, cancel) = (ThreadPool::new(1), CancelToken::new());
+    let plan = ExecPlan {
+        budget,
+        ..ExecPlan::new(&pool, &cancel)
+    };
+    Pipeline::new(PipelineConfig::new(scheme, S_STAR, EXPERIMENT_SEED))
+        .execute(Source::Stream(&mut MemoryRowStream::new(rows)), &plan)
+        .expect("in-memory stream cannot fail")
 }
 
 fn main() {

@@ -24,19 +24,18 @@
 //! SIGINT/SIGTERM or an elapsed `--deadline-secs DEADLINE` canceled the run
 //! at a safe point after flushing any resumable state, so rerunning the
 //! same command with `--checkpoint-dir` picks up from the saved frontier.
-//! `--max-retries` wraps the input in a
-//! [`RetryingRowStream`] so transient IO errors are absorbed;
-//! `--checkpoint-dir` makes `mine` crash-safe via
-//! [`Pipeline::run_resumable`]. `--threads N` runs the in-memory parallel
-//! pipeline over a worker pool (`0` sizes it from the machine); it is
-//! incompatible with the streaming-only `--checkpoint-dir`/`--max-retries`
-//! options, and the output is byte-identical to the sequential run.
-//! `--memory-budget BYTES` runs the sharded out-of-core pipeline
-//! ([`Pipeline::run_sharded`]): pair-space state is capped at the budget,
-//! shard candidate sets spill to disk (into `--checkpoint-dir` when given,
-//! a per-process temp directory otherwise), and the output is again
-//! byte-identical. It composes with `--checkpoint-dir`/`--max-retries`
-//! but not with the in-memory `--threads`.
+//! Every `mine` run is one [`Pipeline::execute`] call, and every
+//! combination of its options is accepted with byte-identical output.
+//! `--max-retries` wraps the input in a [`RetryingRowStream`] so transient
+//! IO errors are absorbed; `--checkpoint-dir` makes `mine` crash-safe
+//! (both streaming passes checkpoint their row frontier). `--threads N`
+//! runs the pool-parallel steps on N workers (`0` sizes the pool from the
+//! machine) and materializes the table, unless `--checkpoint-dir` is
+//! given: checkpoints are row frontiers, so a checkpointed mine streams
+//! and its pool counts phase 2. `--memory-budget BYTES` caps pair-space
+//! state: candidate generation runs as shard passes that spill to disk
+//! (into `--checkpoint-dir` when given, a per-run temp directory removed
+//! on exit otherwise).
 //! `--signature-cache DIR` persists phase-1 sketches (keyed on scheme
 //! kind, `k`, seed, and table shape) so repeated mines over the same
 //! table skip the signature pass; it composes with every execution mode
@@ -44,7 +43,9 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::core::{CancelToken, CheckpointSpec, MemoryBudget, Pipeline, PipelineConfig, Scheme};
+use crate::core::{
+    CancelToken, CheckpointSpec, ExecPlan, MemoryBudget, Pipeline, PipelineConfig, Scheme, Source,
+};
 use crate::datagen::{NewsConfig, SyntheticConfig, WeblogConfig};
 use crate::matrix::{io, FileRowStream, RetryingRowStream, RowStream};
 
@@ -184,11 +185,11 @@ Every subcommand also accepts --kernel auto|scalar|simd (default auto;
 env SFA_KERNEL=scalar): pins the word-count kernel dispatch arm. auto
 picks AVX2/NEON when the CPU has it; simd errors when it does not.
 Output is byte-identical across arms — the option only affects speed.
-Parallelism: --threads N runs the in-memory parallel pipeline (N workers;
-0 = size from the machine). Output is identical to the sequential run.
+Parallelism: --threads N runs on N workers (0 = size from the machine),
+holding the table in memory unless --checkpoint-dir is given.
 Memory: --memory-budget BYTES caps pair-space state, sharding candidate
-generation and spilling shards to disk; output is identical to an
-unbudgeted run. Composes with --checkpoint-dir, not with --threads.
+generation and spilling shards to disk.
+Every combination of mine's options gives output identical to a plain run.
 Caching: --signature-cache DIR reuses phase-1 sketches (MH/K-MH) across
 mines keyed on scheme kind, k, seed, and table shape; use one directory
 per dataset. Corrupt entries are quarantined and recomputed; metrics
@@ -493,29 +494,6 @@ fn mine_err(e: crate::matrix::MatrixError, resumable: bool) -> CliError {
     }
 }
 
-/// Runs `mine`'s pipeline over a stream, with or without a checkpoint dir
-/// and/or a memory budget, polling `cancel` at safe points.
-fn mine_run<S: RowStream>(
-    config: PipelineConfig,
-    stream: &mut S,
-    checkpoint: Option<&CheckpointSpec>,
-    budget: Option<&MemoryBudget>,
-    sig_cache: Option<&str>,
-    cancel: &CancelToken,
-) -> Result<crate::core::MiningResult, CliError> {
-    let mut pipeline = Pipeline::new(config);
-    if let Some(dir) = sig_cache {
-        pipeline = pipeline.with_signature_cache(dir);
-    }
-    let resumable = checkpoint.is_some();
-    match (budget, checkpoint) {
-        (Some(b), ck) => pipeline.run_sharded_with(stream, b, ck, cancel),
-        (None, Some(spec)) => pipeline.run_resumable_with(stream, spec, cancel),
-        (None, None) => pipeline.run_with(stream, cancel),
-    }
-    .map_err(|e| mine_err(e, resumable))
-}
-
 /// Parses `--deadline-secs` into a wall-clock budget. `0` is legal (cancel
 /// at the first safe point — useful for exercising the shutdown path
 /// deterministically); negative, NaN, and infinite values are usage errors.
@@ -532,14 +510,9 @@ fn parse_deadline(args: &Args) -> Result<Option<std::time::Duration>, CliError> 
     Ok(Some(std::time::Duration::from_secs_f64(secs)))
 }
 
-/// Parses `--memory-budget` into a [`MemoryBudget`] spilling into the
-/// checkpoint directory when one is given (so an interrupted run's spill
-/// files survive for resume), or into a per-process temp directory
-/// otherwise.
-fn parse_memory_budget(
-    args: &Args,
-    checkpoint: Option<&CheckpointSpec>,
-) -> Result<Option<MemoryBudget>, CliError> {
+/// Parses `--memory-budget` into a byte cap; `None` when the option is
+/// absent.
+fn parse_memory_budget(args: &Args) -> Result<Option<usize>, CliError> {
     let Some(v) = args.get("memory-budget") else {
         return Ok(None);
     };
@@ -552,11 +525,28 @@ fn parse_memory_budget(
             MemoryBudget::MIN_BYTES
         )));
     }
-    let spill_dir = match checkpoint {
-        Some(spec) => spec.dir.clone(),
-        None => std::env::temp_dir().join(format!("sfa-spill-{}", std::process::id())),
-    };
-    Ok(Some(MemoryBudget::new(bytes, spill_dir)))
+    Ok(Some(bytes))
+}
+
+/// The spill directory of a budgeted mine without `--checkpoint-dir`:
+/// unique to the run (pid plus a process-wide counter), so concurrent
+/// in-process runs never sweep each other's files, and removed with
+/// everything in it when the run ends, however it ends.
+struct TempSpillDir(PathBuf);
+
+impl TempSpillDir {
+    fn new() -> Self {
+        static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let run = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("sfa-spill-{}-{run}", std::process::id());
+        Self(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for TempSpillDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn cmd_mine(args: &Args) -> Result<String, CliError> {
@@ -573,31 +563,14 @@ fn cmd_mine(args: &Args) -> Result<String, CliError> {
         .get("checkpoint-dir")
         .map(|dir| CheckpointSpec::new(dir).with_every_rows(every_rows));
     let threads = parse_threads(args)?;
-    if threads.is_some() && (checkpoint.is_some() || max_retries > 0) {
-        return Err(CliError::Usage(
-            "--threads is incompatible with the streaming-only \
-             --checkpoint-dir/--max-retries options"
-                .into(),
-        ));
-    }
-    let budget = parse_memory_budget(args, checkpoint.as_ref())?;
-    if threads.is_some() && budget.is_some() {
-        return Err(CliError::Usage(
-            "--threads is incompatible with the out-of-core --memory-budget option".into(),
-        ));
-    }
+    let budget_bytes = parse_memory_budget(args)?;
     let deadline = parse_deadline(args)?;
-    if threads.is_some() && deadline.is_some() {
-        return Err(CliError::Usage(
-            "--deadline-secs needs the streaming pipeline's cancellation \
-             points and is incompatible with --threads"
-                .into(),
-        ));
-    }
-    let sig_cache = args.get("signature-cache");
     let scheme = scheme_from_args(args)?;
-    let config = PipelineConfig::new(scheme, s_star, seed);
-    let (_, mut stream) = open_input(args)?;
+    let mut pipeline = Pipeline::new(PipelineConfig::new(scheme, s_star, seed));
+    if let Some(dir) = args.get("signature-cache") {
+        pipeline = pipeline.with_signature_cache(dir);
+    }
+    let (_, stream) = open_input(args)?;
     // Trap SIGINT/SIGTERM for the duration of the mining run so a shutdown
     // request flushes a resumable checkpoint instead of killing the pass.
     crate::core::install_signal_handlers();
@@ -605,43 +578,36 @@ fn cmd_mine(args: &Args) -> Result<String, CliError> {
     if let Some(budget) = deadline {
         cancel = cancel.with_deadline(budget);
     }
-    let result = if let Some(n) = threads {
-        let matrix = materialize(&mut stream)?;
-        let mut pipeline = Pipeline::new(config);
-        if let Some(dir) = sig_cache {
-            pipeline = pipeline.with_signature_cache(dir);
-        }
-        pipeline.run_pool(&matrix, &crate::par::ThreadPool::new(n))
-    } else if max_retries > 0 {
-        let mut retrying = RetryingRowStream::new(stream, max_retries);
-        let mut result = mine_run(
-            config,
-            &mut retrying,
-            checkpoint.as_ref(),
-            budget.as_ref(),
-            sig_cache,
-            &cancel,
-        )?;
-        let stats = retrying.stats();
-        result.metrics.recovery.transient_errors_retried += stats.retries;
-        result.metrics.recovery.rows_refetched += stats.rows_refetched;
-        result
-    } else {
-        mine_run(
-            config,
-            &mut stream,
-            checkpoint.as_ref(),
-            budget.as_ref(),
-            sig_cache,
-            &cancel,
-        )?
+    // Shard spills go into the checkpoint directory when there is one, so
+    // an interrupted run's spill files survive for resume.
+    let temp_spill = TempSpillDir::new();
+    let spill_dir = checkpoint.as_ref().map_or(&temp_spill.0, |spec| &spec.dir);
+    let budget = budget_bytes.map(|bytes| MemoryBudget::new(bytes, spill_dir));
+    let pool = crate::par::ThreadPool::new(threads.unwrap_or(1));
+    let plan = ExecPlan {
+        budget: budget.as_ref(),
+        checkpoint: checkpoint.as_ref(),
+        ..ExecPlan::new(&pool, &cancel)
     };
-    // An ephemeral spill directory (no --checkpoint-dir) has served its
-    // purpose once the run completes; run_sharded already removed the
-    // spill files themselves.
-    if let (Some(b), None) = (&budget, &checkpoint) {
-        let _ = std::fs::remove_dir(&b.spill_dir);
-    }
+    // With zero retries the wrapper passes every error straight through.
+    let mut stream = RetryingRowStream::new(stream, max_retries);
+    // --threads materializes the table, unless the run checkpoints:
+    // checkpoints are row frontiers, so a checkpointed mine streams and
+    // its pool counts phase 2.
+    let resident = match (threads, &checkpoint) {
+        (Some(_), None) => Some(materialize(&mut stream)?),
+        _ => None,
+    };
+    let source = match &resident {
+        Some(matrix) => Source::Resident(matrix),
+        None => Source::Stream(&mut stream),
+    };
+    let mut result = pipeline
+        .execute(source, &plan)
+        .map_err(|e| mine_err(e, checkpoint.is_some()))?;
+    let retried = stream.stats();
+    result.metrics.recovery.transient_errors_retried += retried.retries;
+    result.metrics.recovery.rows_refetched += retried.rows_refetched;
     let pairs = result.similar_pairs();
     let mut out = format!(
         "{}: {} candidates, {} pairs at S >= {s_star} ({})\n",
@@ -904,6 +870,39 @@ mod tests {
         let dir = std::env::temp_dir().join("sfa_cli_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Held by every test that mines under a budget without a
+    /// checkpoint directory, i.e. spills into a `sfa-spill-<pid>-<run>`
+    /// directory, so the test that looks for leftovers sees none in use.
+    fn temp_spill_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The tab-separated pair lines of a `mine` output.
+    fn pair_lines(out: &str) -> Vec<String> {
+        out.lines()
+            .filter(|l| l.contains('\t'))
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// Generates the tiny weblog table at `tmp(name)`.
+    fn weblog_table(name: &str) -> PathBuf {
+        let table = tmp(name);
+        dispatch(&strs(&[
+            "gen",
+            "--kind",
+            "weblog",
+            "--out",
+            table.to_str().unwrap(),
+            "--scale",
+            "tiny",
+        ]))
+        .unwrap();
+        table
     }
 
     #[test]
@@ -1435,7 +1434,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_rejects_bad_values_and_streaming_conflicts() {
+    fn threads_flag_rejects_bad_values() {
         // All of these are usage errors (exit 2) and must be detected
         // before the (nonexistent) input is opened.
         for bad in [
@@ -1447,28 +1446,6 @@ mod tests {
                 "mh",
                 "--threads",
                 "NaN",
-            ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--threads",
-                "2",
-                "--checkpoint-dir",
-                "/nonexistent/ckpt",
-            ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--threads",
-                "2",
-                "--max-retries",
-                "3",
             ],
             vec![
                 "sketch",
@@ -1488,7 +1465,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_flag_rejects_bad_values_and_threads_conflict() {
+    fn memory_budget_flag_rejects_bad_values() {
         // Usage errors (exit 2), detected before the nonexistent input is
         // opened.
         for bad in [
@@ -1510,17 +1487,6 @@ mod tests {
                 "--memory-budget",
                 "64",
             ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--memory-budget",
-                "1048576",
-                "--threads",
-                "2",
-            ],
         ] {
             let err = dispatch(&strs(&bad)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?} → {err:?}");
@@ -1529,6 +1495,7 @@ mod tests {
 
     #[test]
     fn mine_with_memory_budget_matches_unbudgeted_run() {
+        let _spilling = temp_spill_lock();
         let table = tmp("budget_mine.sfab");
         dispatch(&strs(&[
             "gen",
@@ -1712,7 +1679,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flag_rejects_bad_values_and_threads_conflict() {
+    fn deadline_flag_rejects_bad_values() {
         // Usage errors (exit 2), detected before the nonexistent input is
         // opened.
         for bad in [
@@ -1742,17 +1709,6 @@ mod tests {
                 "mh",
                 "--deadline-secs",
                 "inf",
-            ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--deadline-secs",
-                "5",
-                "--threads",
-                "2",
             ],
         ] {
             let err = dispatch(&strs(&bad)).unwrap_err();
@@ -1873,5 +1829,107 @@ mod tests {
         std::fs::remove_file(&table).ok();
         std::fs::remove_file(&json_path).ok();
         std::fs::remove_dir_all(&ckpt_dir).ok();
+    }
+
+    #[test]
+    fn interrupted_budgeted_mine_leaves_no_spill_directory() {
+        let _spilling = temp_spill_lock();
+        let table = weblog_table("spill_cleanup.sfab");
+        let err = dispatch(&strs(&[
+            "mine",
+            "--input",
+            table.to_str().unwrap(),
+            "--scheme",
+            "mh",
+            "--k",
+            "40",
+            "--memory-budget",
+            "65536",
+            "--deadline-secs",
+            "0",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err:?}");
+        let prefix = format!("sfa-spill-{}-", std::process::id());
+        let leftovers: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&prefix))
+            .collect();
+        assert!(leftovers.is_empty(), "leftover spill dirs: {leftovers:?}");
+        std::fs::remove_file(&table).ok();
+    }
+
+    #[test]
+    fn threads_budget_checkpoint_and_deadline_compose() {
+        let table = weblog_table("composed_mine.sfab");
+        let ckpt = tmp("composed_mine_ckpt");
+        std::fs::remove_dir_all(&ckpt).ok();
+        let plain_args = [
+            "mine",
+            "--input",
+            table.to_str().unwrap(),
+            "--scheme",
+            "mh",
+            "--threshold",
+            "0.7",
+            "--k",
+            "40",
+        ];
+        let mut composed = plain_args.to_vec();
+        composed.extend([
+            "--threads",
+            "2",
+            "--memory-budget",
+            "65536",
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+        ]);
+        let mut deadline = composed.clone();
+        deadline.extend(["--deadline-secs", "0"]);
+        let err = dispatch(&strs(&deadline)).unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err:?}");
+        let resumed = dispatch(&strs(&composed)).unwrap();
+        let plain = dispatch(&strs(&plain_args)).unwrap();
+        assert!(!pair_lines(&plain).is_empty(), "no pairs mined");
+        assert_eq!(pair_lines(&resumed), pair_lines(&plain));
+        std::fs::remove_dir_all(&ckpt).ok();
+        std::fs::remove_file(&table).ok();
+    }
+
+    #[test]
+    fn threads_with_memory_budget_shards_the_resident_table() {
+        let _spilling = temp_spill_lock();
+        let table = weblog_table("resident_sharded.sfab");
+        let json_path = tmp("resident_sharded.json");
+        let plain_args = [
+            "mine",
+            "--input",
+            table.to_str().unwrap(),
+            "--scheme",
+            "mh",
+            "--threshold",
+            "0.7",
+            "--k",
+            "40",
+        ];
+        let mut sharded = plain_args.to_vec();
+        sharded.extend([
+            "--threads",
+            "2",
+            "--memory-budget",
+            "65536",
+            "--metrics-json",
+            json_path.to_str().unwrap(),
+        ]);
+        let out = dispatch(&strs(&sharded)).unwrap();
+        let plain = dispatch(&strs(&plain_args)).unwrap();
+        assert_eq!(pair_lines(&out), pair_lines(&plain));
+        let doc: crate::core::MetricsDocument =
+            crate::json::from_str(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+        assert_eq!(doc.metrics.threads, 2);
+        assert_eq!(doc.metrics.sharding.expect("sharding metrics").shards, 2);
+        std::fs::remove_file(&json_path).ok();
+        std::fs::remove_file(&table).ok();
     }
 }

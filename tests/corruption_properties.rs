@@ -11,10 +11,13 @@
 
 use proptest::prelude::*;
 
-use sfa::core::{CancelToken, CheckpointSpec, MemoryBudget, Pipeline, PipelineConfig, Scheme};
+use sfa::core::{
+    CancelToken, CheckpointSpec, ExecPlan, MemoryBudget, Pipeline, PipelineConfig, Scheme, Source,
+};
 use sfa::matrix::{io, FileRowStream, MemoryRowStream, RowMajorMatrix, RowStream};
 use sfa::minhash::persist::{read_bottom_k, read_signatures, write_bottom_k, write_signatures};
 use sfa::minhash::{KmhBuilder, MhBuilder};
+use sfa::par::ThreadPool;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("sfa_corruption_fuzz");
@@ -88,8 +91,14 @@ fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
     let spec = CheckpointSpec::new(&dir).with_every_rows(64);
     let budget = MemoryBudget::new(4096, &dir);
     let config = PipelineConfig::new(Scheme::Mh { k: 8, delta: 0.2 }, 0.5, 42);
+    let pool = ThreadPool::new(1);
+    let plan = ExecPlan {
+        budget: Some(&budget),
+        checkpoint: Some(&spec),
+        ..ExecPlan::new(&pool, &token)
+    };
     let err = Pipeline::new(config)
-        .run_sharded_with(&mut stream, &budget, Some(&spec), &token)
+        .execute(Source::Stream(&mut stream), &plan)
         .unwrap_err();
     assert!(err.is_canceled(), "fixture run must cancel, got {err}");
 

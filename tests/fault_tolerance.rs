@@ -4,11 +4,15 @@
 //! an undisturbed run, and account for every recovery event in the
 //! metrics JSON.
 
-use sfa::core::{CheckpointSpec, MemoryBudget, MetricsDocument, Pipeline, PipelineConfig, Scheme};
+use sfa::core::{
+    CancelToken, CheckpointSpec, ExecPlan, MemoryBudget, MetricsDocument, MiningResult, Pipeline,
+    PipelineConfig, Scheme, Source,
+};
 use sfa::datagen::WeblogConfig;
 use sfa::json::ToJson;
 use sfa::matrix::stream::PassCounter;
 use sfa::matrix::{io, FaultConfig, FaultyRowStream, FileRowStream, RetryingRowStream, RowStream};
+use sfa::par::ThreadPool;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("sfa_fault_tolerance_tests");
@@ -25,6 +29,20 @@ fn fixture(name: &str, seed: u64) -> (std::path::PathBuf, PipelineConfig) {
     io::write_binary(&rows, &path).unwrap();
     let config = PipelineConfig::new(Scheme::Mh { k: 40, delta: 0.2 }, 0.7, 31);
     (path, config)
+}
+
+/// Mines `stream` on one worker, checkpointing into `spec`.
+fn run_resumable(
+    config: PipelineConfig,
+    stream: &mut impl RowStream,
+    spec: &CheckpointSpec,
+) -> sfa::matrix::Result<MiningResult> {
+    let (pool, cancel) = (ThreadPool::new(1), CancelToken::default());
+    let plan = ExecPlan {
+        checkpoint: Some(spec),
+        ..ExecPlan::new(&pool, &cancel)
+    };
+    Pipeline::new(config).execute(Source::Stream(stream), &plan)
 }
 
 #[test]
@@ -101,9 +119,7 @@ fn fatal_fault_then_resume_rereads_only_the_uncheckpointed_suffix() {
             ..FaultConfig::default()
         },
     );
-    let err = Pipeline::new(config)
-        .run_resumable(&mut doomed, &spec)
-        .unwrap_err();
+    let err = run_resumable(config, &mut doomed, &spec).unwrap_err();
     assert!(!err.is_transient(), "the injected kill is fatal: {err}");
 
     // Attempt 2: a clean rerun resumes from row 1024, so it reads only the
@@ -111,9 +127,7 @@ fn fatal_fault_then_resume_rereads_only_the_uncheckpointed_suffix() {
     // counts delivered reads and not skips, which is exactly the
     // "re-reads only the suffix" claim.
     let mut counter = PassCounter::new(FileRowStream::open(&path).unwrap());
-    let resumed = Pipeline::new(config)
-        .run_resumable(&mut counter, &spec)
-        .unwrap();
+    let resumed = run_resumable(config, &mut counter, &spec).unwrap();
     assert_eq!(counter.rows_read(), (n_rows - 1024) + n_rows);
     assert_eq!(resumed.metrics.recovery.resumed_from_row, 1024);
     assert_eq!(
@@ -234,9 +248,7 @@ fn retry_and_checkpointing_compose_over_one_flaky_stream() {
         },
     );
     let mut retrying = RetryingRowStream::new(faulty, 4);
-    let result = Pipeline::new(config)
-        .run_resumable(&mut retrying, &spec)
-        .unwrap();
+    let result = run_resumable(config, &mut retrying, &spec).unwrap();
 
     assert_eq!(result.verified, clean.verified);
     assert!(result.metrics.recovery.checkpoints_written > 0);
