@@ -42,15 +42,21 @@
 //! the run like a real one would; rerunning with a different seed (the
 //! harness salts the seed with the attempt number) eventually completes.
 //!
-//! # Manifest and quarantine
+//! # State files, manifest and quarantine
 //!
 //! A state directory is owned by one run, identified by its run key
-//! (config fingerprint + table shape). [`recover_dir`] runs at startup
-//! and restores the directory to a trustworthy state: stray `.tmp` files
-//! are deleted, and any checkpoint/spill/manifest file that is corrupt or
-//! belongs to a different run key is moved into a `quarantine/`
-//! subdirectory — never silently reused, never fatal. Recovery can cost
-//! IO (a quarantined shard is regenerated) but never changes output.
+//! (config fingerprint + table shape). Its files — checkpoints (`.sfcp`),
+//! spills (`.sfsp`) and the manifest (`.sfmf`) — are
+//! [`sfa_matrix::record`]s whose body opens with one header: the state
+//! version, a record kind (not in the manifest) and the run key. A
+//! `StateFormat` names each layout, so one [`validate_file`], one
+//! ownership check, one `clear` and one `quarantine` serve all three.
+//! [`recover_dir`] runs at startup and restores the directory to a
+//! trustworthy state: stray `.tmp` files are deleted, and any state file
+//! that is corrupt or belongs to a different run key is moved into a
+//! `quarantine/` subdirectory — never silently reused, never fatal.
+//! Recovery can cost IO (a quarantined shard is regenerated) but never
+//! changes output.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -58,18 +64,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sfa_hash::hash64_with_seed;
+use sfa_json::ToJson;
 use sfa_matrix::crc32::crc32;
+use sfa_matrix::record::{self, Cursor, Writer};
 use sfa_matrix::{MatrixError, Result};
 
-use crate::checkpoint::RunKey;
+use crate::config::PipelineConfig;
 
 /// File name of the per-run manifest inside a state directory.
 pub const MANIFEST_NAME: &str = "manifest.sfmf";
 /// Subdirectory corrupt or stale state files are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
-
-const MANIFEST_MAGIC: [u8; 4] = *b"SFMF";
-const MANIFEST_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------------
 // fault injection
@@ -369,44 +374,201 @@ impl DurableDir {
 }
 
 // ---------------------------------------------------------------------------
-// manifest
+// state files
+
+/// Identifies one `(configuration, table)` combination; state files from a
+/// different run key are quarantined or ignored, never resumed into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RunKey {
+    pub(crate) fingerprint: u32,
+    pub(crate) n_rows: u32,
+    pub(crate) n_cols: u32,
+}
+
+impl RunKey {
+    pub(crate) fn new(config: &PipelineConfig, n_rows: u32, n_cols: u32) -> Self {
+        Self {
+            fingerprint: crc32(config.to_json().to_string_compact().as_bytes()),
+            n_rows,
+            n_cols,
+        }
+    }
+
+    /// Appends the key's 12 bytes: fingerprint, rows, columns.
+    fn write(self, w: &mut Writer) {
+        w.u32(self.fingerprint);
+        w.u32(self.n_rows);
+        w.u32(self.n_cols);
+    }
+
+    fn read(c: &mut Cursor<'_>) -> Result<Self> {
+        Ok(Self {
+            fingerprint: c.u32()?,
+            n_rows: c.u32()?,
+            n_cols: c.u32()?,
+        })
+    }
+}
+
+/// Layout version of every state file.
+const STATE_VERSION: u32 = 1;
+
+/// One state-file format: `*<suffix>` files holding an
+/// [`sfa_matrix::record`] whose body starts with the state version, a
+/// record kind (omitted when `kinds` is empty) and the [`RunKey`].
+pub(crate) struct StateFormat {
+    pub(crate) suffix: &'static str,
+    pub(crate) magic: [u8; 4],
+    /// The record kinds the header may name; empty for a header-only
+    /// record without a kind field (the manifest).
+    pub(crate) kinds: &'static [u32],
+}
+
+const MANIFEST: StateFormat = StateFormat {
+    suffix: ".sfmf",
+    magic: *b"SFMF",
+    kinds: &[],
+};
+
+/// Every state-file format a state directory may hold.
+const STATE_FORMATS: [&StateFormat; 3] =
+    [&crate::checkpoint::FORMAT, &crate::spill::FORMAT, &MANIFEST];
+
+impl StateFormat {
+    /// The format a file named `name` holds, if it is a state file.
+    fn of(name: &str) -> Option<&'static Self> {
+        STATE_FORMATS.into_iter().find(|f| name.ends_with(f.suffix))
+    }
+
+    /// A record of `kind` (`None` for the kindless manifest) for run `key`,
+    /// header written.
+    pub(crate) fn writer(&self, kind: Option<u32>, key: RunKey) -> Writer {
+        let mut w = Writer::new(self.magic);
+        w.u32(STATE_VERSION);
+        if let Some(kind) = kind {
+            w.u32(kind);
+        }
+        key.write(&mut w);
+        w
+    }
+
+    /// Checks `bytes` is an intact record of this format (magic, CRC
+    /// trailer, version, a kind the format allows) and returns its kind,
+    /// run key, and a cursor past the header.
+    fn open<'a>(&self, bytes: &'a [u8]) -> Result<(Option<u32>, RunKey, Cursor<'a>)> {
+        let bad = |at: u64, detail: &str| MatrixError::Parse {
+            at,
+            detail: detail.into(),
+        };
+        let mut c = record::open(bytes, self.magic)?;
+        if c.u32()? != STATE_VERSION {
+            return Err(bad(4, "unknown state-file version"));
+        }
+        let kind = if self.kinds.is_empty() {
+            None
+        } else {
+            let kind = c.u32()?;
+            if !self.kinds.contains(&kind) {
+                return Err(bad(8, "unknown state-file record kind"));
+            }
+            Some(kind)
+        };
+        let key = RunKey::read(&mut c)?;
+        if kind.is_none() {
+            c.finish()?;
+        }
+        Ok((kind, key, c))
+    }
+
+    /// Reads the `kind` record at `path` written for run `key` and parses
+    /// its payload to the end; `None` when any step fails.
+    pub(crate) fn load<T>(
+        &self,
+        path: &Path,
+        kind: u32,
+        key: RunKey,
+        parse: impl FnOnce(&mut Cursor<'_>) -> Result<T>,
+    ) -> Option<T> {
+        let bytes = std::fs::read(path).ok()?;
+        let (found, owner, mut c) = self.open(&bytes).ok()?;
+        if found != Some(kind) || owner != key {
+            return None;
+        }
+        let value = parse(&mut c).ok()?;
+        c.finish().ok()?;
+        Some(value)
+    }
+}
+
+/// Reads a `u32` count and then that many `u32`s, checking the count
+/// against the bytes left before allocating.
+pub(crate) fn read_u32s(c: &mut Cursor<'_>) -> Result<Vec<u32>> {
+    let n = c.u32()? as usize;
+    if n > c.remaining() / 4 {
+        return Err(MatrixError::Parse {
+            at: c.offset(),
+            detail: format!("{n} counters exceed the {} bytes left", c.remaining()),
+        });
+    }
+    (0..n).map(|_| c.u32()).collect()
+}
+
+/// Strictly validates a state file (`.sfcp`, `.sfsp` or `.sfmf`, by
+/// name): magic, CRC-32 trailer, version and record kind. Run-key and
+/// payload semantics are *not* checked — this answers "is the file
+/// intact", not "does it belong to my run".
+///
+/// # Errors
+///
+/// [`MatrixError::Parse`] for a name that is not a state file or the first
+/// violation, [`MatrixError::Checksum`] for a trailer mismatch; any
+/// single-byte mutation or truncation of a valid file is rejected.
+pub fn validate_file(path: &Path) -> Result<()> {
+    owner(path).map(|_| ())
+}
+
+/// The run key of the intact state file at `path`; see [`validate_file`].
+fn owner(path: &Path) -> Result<RunKey> {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    let format = StateFormat::of(name).ok_or_else(|| MatrixError::Parse {
+        at: 0,
+        detail: format!("{name} is not a .sfcp/.sfsp/.sfmf state file"),
+    })?;
+    format.open(&std::fs::read(path)?).map(|(_, key, _)| key)
+}
 
 /// Durably writes the run manifest for `key` into `dir`.
 pub(crate) fn write_manifest(dir: &Path, key: RunKey) -> Result<()> {
-    let mut bytes = Vec::with_capacity(24);
-    bytes.extend_from_slice(&MANIFEST_MAGIC);
-    bytes.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&key.fingerprint.to_le_bytes());
-    bytes.extend_from_slice(&key.n_rows.to_le_bytes());
-    bytes.extend_from_slice(&key.n_cols.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&bytes[4..]).to_le_bytes());
-    write_atomic(&dir.join(MANIFEST_NAME), &bytes)?;
+    write_atomic(&dir.join(MANIFEST_NAME), &MANIFEST.writer(None, key).seal())?;
     Ok(())
 }
 
-/// Reads the manifest in `dir`, if present and intact.
-pub(crate) fn read_manifest(dir: &Path) -> Option<RunKey> {
-    let bytes = std::fs::read(dir.join(MANIFEST_NAME)).ok()?;
-    if bytes.len() != 24 || bytes[0..4] != MANIFEST_MAGIC {
-        return None;
+/// Removes every state file (`*.sfcp`, `*.sfsp`, `*.sfmf`) and their
+/// `.tmp` staging files from `dir` — called when a run completes, so stale
+/// state never leaks into the next run and the directory no longer claims
+/// an owner. Files that vanish concurrently are fine.
+pub(crate) fn clear(dir: &Path) -> Result<()> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e.into()),
+    };
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if StateFormat::of(name.strip_suffix(".tmp").unwrap_or(name)).is_some() {
+            remove_file(&entry.path())?;
+        }
     }
-    let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    if crc32(&bytes[4..20]) != u32_at(20) || u32_at(4) != MANIFEST_VERSION {
-        return None;
-    }
-    Some(RunKey {
-        fingerprint: u32_at(8),
-        n_rows: u32_at(12),
-        n_cols: u32_at(16),
-    })
+    Ok(())
 }
 
-/// Removes the manifest — called when the run completes and its state
-/// files have been cleared, so the directory no longer claims an owner.
-pub(crate) fn remove_manifest(dir: &Path) -> Result<()> {
-    match std::fs::remove_file(dir.join(MANIFEST_NAME)) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+/// Removes `path`; `Ok(false)` when it was already gone.
+fn remove_file(path: &Path) -> Result<bool> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
         Err(e) => Err(e.into()),
     }
 }
@@ -425,7 +587,7 @@ pub struct RecoveredDir {
 
 /// Moves `path` into the `quarantine/` subdirectory of `dir`, suffixing
 /// the name if a previous quarantine already holds one.
-fn quarantine(dir: &Path, path: &Path) -> Result<()> {
+pub(crate) fn quarantine(dir: &Path, path: &Path) -> Result<()> {
     let qdir = dir.join(QUARANTINE_DIR);
     std::fs::create_dir_all(&qdir)?;
     let name = path
@@ -444,8 +606,8 @@ fn quarantine(dir: &Path, path: &Path) -> Result<()> {
 }
 
 /// Restores a state directory to a trustworthy state for a run keyed by
-/// `key`: deletes stray `.tmp` staging files, quarantines corrupt or
-/// stale (`.sfcp`, `.sfsp`, manifest) files, and writes a fresh manifest
+/// `key`: deletes stray `.tmp` staging files, quarantines every state file
+/// that is corrupt or belongs to another run, and writes a fresh manifest
 /// claiming the directory. Valid files belonging to `key` are untouched,
 /// so an interrupted run still resumes from them.
 pub(crate) fn recover_dir(dir: &Path, key: RunKey) -> Result<RecoveredDir> {
@@ -460,22 +622,8 @@ pub(crate) fn recover_dir(dir: &Path, key: RunKey) -> Result<RecoveredDir> {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if name.ends_with(".tmp") {
-            match std::fs::remove_file(&path) {
-                Ok(()) => report.tmp_files_removed += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        } else if name.ends_with(".sfcp") {
-            if !crate::checkpoint::valid_for(&path, key) {
-                quarantine(dir, &path)?;
-                report.files_quarantined += 1;
-            }
-        } else if name.ends_with(".sfsp") {
-            if !crate::spill::valid_for(&path, key) {
-                quarantine(dir, &path)?;
-                report.files_quarantined += 1;
-            }
-        } else if name == MANIFEST_NAME && read_manifest(dir) != Some(key) {
+            report.tmp_files_removed += u64::from(remove_file(&path)?);
+        } else if StateFormat::of(name).is_some() && !owner(&path).is_ok_and(|k| k == key) {
             quarantine(dir, &path)?;
             report.files_quarantined += 1;
         }
@@ -503,6 +651,17 @@ mod tests {
             100,
             7,
         )
+    }
+
+    fn phase1_state() -> crate::checkpoint::Phase1State {
+        crate::checkpoint::Phase1State {
+            rows_done: 64,
+            sketch: crate::checkpoint::Sketch::Mh(sfa_minhash::SignatureMatrix::from_values(
+                2,
+                3,
+                vec![1, 2, 3, 4, 5, 6],
+            )),
+        }
     }
 
     #[test]
@@ -625,16 +784,77 @@ mod tests {
     #[test]
     fn manifest_round_trips_and_rejects_corruption() {
         let d = dir("manifest");
-        assert_eq!(read_manifest(&d), None);
-        write_manifest(&d, key()).expect("write");
-        assert_eq!(read_manifest(&d), Some(key()));
         let path = d.join(MANIFEST_NAME);
+        assert!(owner(&path).is_err());
+        write_manifest(&d, key()).expect("write");
+        assert_eq!(owner(&path).ok(), Some(key()));
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[10] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_manifest(&d), None, "bit flip must disqualify");
-        remove_manifest(&d).expect("remove");
-        remove_manifest(&d).expect("idempotent");
+        assert!(owner(&path).is_err(), "bit flip must disqualify");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn validate_file_checks_container_not_run_key() {
+        let d = dir("validate-file");
+        let spec = crate::checkpoint::CheckpointSpec::new(&d);
+        crate::checkpoint::save_phase1(&spec, key(), &phase1_state()).expect("save");
+        crate::spill::save_shard_candidates(&d, key(), 0, 2, &[]).expect("save");
+        write_manifest(&d, key()).expect("write");
+        let other = RunKey {
+            fingerprint: 0,
+            n_rows: 1,
+            n_cols: 2,
+        };
+        for name in ["phase1.sfcp", "shard_0_of_2.sfsp", MANIFEST_NAME] {
+            let path = d.join(name);
+            validate_file(&path).expect("intact file validates");
+            let owner = owner(&path).expect("intact");
+            assert_eq!(owner, key());
+            assert_ne!(owner, other, "the run key is the sweep's concern");
+            let mut bytes = std::fs::read(&path).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                validate_file(&path).is_err(),
+                "{name}: trailer flip rejected"
+            );
+        }
+        std::fs::write(d.join("notes.txt"), b"x").unwrap();
+        assert!(
+            validate_file(&d.join("notes.txt")).is_err(),
+            "not a state file"
+        );
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn clear_removes_state_files_and_their_staging_files_only() {
+        let d = dir("clear");
+        let spec = crate::checkpoint::CheckpointSpec::new(&d);
+        crate::checkpoint::save_phase1(&spec, key(), &phase1_state()).expect("save");
+        crate::spill::save_shard_candidates(&d, key(), 0, 1, &[]).expect("save");
+        write_manifest(&d, key()).expect("write");
+        for stray in [
+            "phase3.sfcp.tmp",
+            "shard_0_of_2.sfsp.tmp",
+            "manifest.sfmf.tmp",
+        ] {
+            std::fs::write(d.join(stray), b"half-written").unwrap();
+        }
+        std::fs::write(d.join("keep.txt"), b"x").unwrap();
+        std::fs::write(d.join("keep.txt.tmp"), b"x").unwrap();
+        clear(&d).expect("clear");
+        let mut left: Vec<_> = std::fs::read_dir(&d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["keep.txt", "keep.txt.tmp"]);
+        clear(&d).expect("idempotent");
+        clear(&d.join("missing")).expect("a missing directory is clear");
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -666,7 +886,11 @@ mod tests {
         assert!(q.join("phase1.sfcp").exists());
         assert!(q.join("shard_0_of_2.sfsp").exists());
         assert!(q.join(MANIFEST_NAME).exists());
-        assert_eq!(read_manifest(&d), Some(key()), "directory is claimed");
+        assert_eq!(
+            owner(&d.join(MANIFEST_NAME)).ok(),
+            Some(key()),
+            "directory is claimed"
+        );
         // Idempotent: a second recovery finds nothing to fix.
         assert_eq!(
             recover_dir(&d, key()).expect("again"),
@@ -679,10 +903,7 @@ mod tests {
     fn recover_dir_keeps_valid_state_for_the_same_key() {
         let d = dir("recover-keeps");
         let spec = crate::checkpoint::CheckpointSpec::new(&d);
-        let state = crate::checkpoint::Phase1State::Mh {
-            rows_done: 64,
-            sigs: sfa_minhash::SignatureMatrix::from_values(2, 3, vec![1, 2, 3, 4, 5, 6]),
-        };
+        let state = phase1_state();
         crate::checkpoint::save_phase1(&spec, key(), &state).expect("save");
         let report = recover_dir(&d, key()).expect("recover");
         assert_eq!(report, RecoveredDir::default());

@@ -1,7 +1,7 @@
 //! The pipeline driver: signatures → candidates → exact verification.
 
 use std::borrow::Cow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use sfa_hash::bucket::{PairShard, ShardPassOutcome};
@@ -15,9 +15,9 @@ use sfa_minhash::{
 };
 use sfa_par::ThreadPool;
 
-use crate::checkpoint::{self, CheckpointSpec, Phase1State, RunKey};
+use crate::checkpoint::{self, CheckpointSpec, Phase1State, Sketch};
 use crate::config::{PipelineConfig, Scheme};
-use crate::durable;
+use crate::durable::{self, RunKey};
 use crate::metrics::{
     KernelMetrics, MiningMetrics, PassMetrics, Phase1Metrics, RecoveryMetrics, ShardingMetrics,
     VerifyMetrics,
@@ -143,7 +143,9 @@ impl Pipeline {
                 }
                 let sigs = match table {
                     Table::Stream(stream) => compute_signatures(stream, k, seed)?,
-                    Table::Resumable(stream, ckpt) => signatures_resumable(stream, k, seed, ckpt)?,
+                    Table::Resumable(stream, ckpt) => {
+                        resumable_pass::<MhBuilder, _>(stream, k, seed, ckpt)?.finish()
+                    }
                     Table::Resident(matrix, pool) => compute_signatures_pool(matrix, k, seed, pool),
                 };
                 let stored =
@@ -162,7 +164,9 @@ impl Pipeline {
                 }
                 let sigs = match table {
                     Table::Stream(stream) => compute_bottom_k(stream, k, seed)?,
-                    Table::Resumable(stream, ckpt) => bottom_k_resumable(stream, k, seed, ckpt)?,
+                    Table::Resumable(stream, ckpt) => {
+                        resumable_pass::<KmhBuilder, _>(stream, k, seed, ckpt)?.finish()
+                    }
                     Table::Resident(matrix, pool) => compute_bottom_k_pool(matrix, k, seed, pool),
                 };
                 let stored =
@@ -364,11 +368,12 @@ impl Pipeline {
         let key = RunKey::new(cfg, n_rows, n_cols);
         let spill_dir = plan.budget.map(|b| b.spill_dir.as_path());
         let ckpt_dir = plan.checkpoint.map(|c| c.dir.as_path());
-        let mut recovery = RecoveryMetrics::default();
-        for dir in [spill_dir, ckpt_dir.filter(|&d| Some(d) != spill_dir)]
+        let state_dirs: Vec<&Path> = [spill_dir, ckpt_dir.filter(|&d| Some(d) != spill_dir)]
             .into_iter()
             .flatten()
-        {
+            .collect();
+        let mut recovery = RecoveryMetrics::default();
+        for &dir in &state_dirs {
             let swept = durable::recover_dir(dir, key)?;
             recovery.files_quarantined += swept.files_quarantined;
             recovery.tmp_files_removed += swept.tmp_files_removed;
@@ -544,16 +549,16 @@ impl Pipeline {
                             scan.reset()?;
                             let resume = plan
                                 .checkpoint
-                                .and_then(|spec| checkpoint::load_phase3(spec, key, fp));
-                            if let Some(s) = &resume {
+                                .and_then(|spec| checkpoint::load_phase3(spec, key, &candidates));
+                            if let Some(p) = &resume {
                                 recovery.resumed_from_row =
-                                    recovery.resumed_from_row.max(s.progress.rows_done);
+                                    recovery.resumed_from_row.max(p.rows_done);
                             }
                             let mut written = 0u64;
                             let result = verify_candidates_resumable(
                                 scan,
                                 &candidates,
-                                resume.map(|s| s.progress),
+                                resume,
                                 plan.checkpoint.map_or(u64::MAX, |spec| spec.every_rows),
                                 &mut |p| {
                                     if let Some(spec) = plan.checkpoint {
@@ -614,13 +619,8 @@ impl Pipeline {
             verify_groups: groups.len() as u64,
             ..sharding
         });
-        if let Some(dir) = spill_dir {
-            spill::clear(dir)?;
-            durable::remove_manifest(dir)?;
-        }
-        if let Some(spec) = plan.checkpoint {
-            checkpoint::clear(spec)?;
-            durable::remove_manifest(&spec.dir)?;
+        for dir in state_dirs {
+            durable::clear(dir)?;
         }
         Ok(MiningResult {
             config: self.config,
@@ -723,60 +723,64 @@ struct Checkpointing<'a> {
     cancel: &'a CancelToken,
 }
 
-/// Phase 1 (MH family) with checkpointing: resumes an [`MhBuilder`] from
-/// the last phase-1 checkpoint if one matches, persists its state every
-/// `spec.every_rows` rows, and always persists the completed state so a
-/// later phase-3 crash resumes without redoing signature work.
-fn signatures_resumable<S: RowStream>(
-    stream: &mut S,
-    k: usize,
-    seed: u64,
-    ckpt: Checkpointing<'_>,
-) -> Result<SignatureMatrix> {
-    let Checkpointing {
-        spec,
-        key,
-        recovery,
-        cancel,
-    } = ckpt;
-    let m = stream.n_cols() as usize;
-    let mut builder = match checkpoint::load_phase1(spec, key) {
-        Some(Phase1State::Mh { rows_done, sigs }) if sigs.k() == k && sigs.m() == m => {
-            fast_forward(stream, rows_done)?;
-            recovery.resumed_from_row = rows_done;
-            MhBuilder::from_state(seed, rows_done, sigs)
-        }
-        _ => MhBuilder::new(k, m, seed),
-    };
-    let mut buf = Vec::new();
-    let mut cancel = cancel.throttled(CANCEL_POLL_STRIDE);
-    while let Some(row_id) = stream.read_row(&mut buf)? {
-        builder.push_row(row_id, &buf);
-        // A graceful shutdown flushes the builder state off-cadence so the
-        // rerun resumes from this exact row.
-        let canceled = cancel.is_canceled();
-        if builder.rows_seen() % spec.every_rows == 0 || canceled {
-            save_mh_state(spec, key, &builder)?;
-            recovery.checkpoints_written += 1;
-        }
-        if canceled {
-            cancel.check()?;
-        }
-    }
-    if builder.rows_seen() % spec.every_rows != 0 {
-        save_mh_state(spec, key, &builder)?;
-        recovery.checkpoints_written += 1;
-    }
-    Ok(builder.finish())
+/// A phase-1 sketch builder whose state a checkpointed pass saves and
+/// resumes.
+trait Phase1Builder: Sized {
+    fn new(k: usize, m: usize, seed: u64) -> Self;
+    /// The builder `state` describes, if it holds this builder's sketch
+    /// kind at width `k` over `m` columns.
+    fn resume(state: Phase1State, k: usize, m: usize, seed: u64) -> Option<Self>;
+    fn state(&self) -> Phase1State;
+    fn push_row(&mut self, row_id: u32, cols: &[u32]);
+    fn rows_seen(&self) -> u64;
 }
 
-/// Phase 1 (K-MH) with checkpointing; see [`signatures_resumable`].
-fn bottom_k_resumable<S: RowStream>(
+/// Implements [`Phase1Builder`] for a builder whose checkpointed sketch is
+/// `Sketch::$variant`; both builders have the inherent methods it calls.
+macro_rules! impl_phase1_builder {
+    ($builder:ty, $variant:ident) => {
+        impl Phase1Builder for $builder {
+            fn new(k: usize, m: usize, seed: u64) -> Self {
+                Self::new(k, m, seed)
+            }
+            fn resume(state: Phase1State, k: usize, m: usize, seed: u64) -> Option<Self> {
+                match state.sketch {
+                    Sketch::$variant(sigs) if sigs.k() == k && sigs.m() == m => {
+                        Some(Self::from_state(seed, state.rows_done, sigs))
+                    }
+                    _ => None,
+                }
+            }
+            fn state(&self) -> Phase1State {
+                Phase1State {
+                    rows_done: self.rows_seen(),
+                    sketch: Sketch::$variant(self.current()),
+                }
+            }
+            fn push_row(&mut self, row_id: u32, cols: &[u32]) {
+                self.push_row(row_id, cols);
+            }
+            fn rows_seen(&self) -> u64 {
+                self.rows_seen()
+            }
+        }
+    };
+}
+
+impl_phase1_builder!(MhBuilder, Mh);
+impl_phase1_builder!(KmhBuilder, Kmh);
+
+/// Phase 1 with checkpointing: resumes the builder from the last phase-1
+/// checkpoint if one matches, persists its state every `spec.every_rows`
+/// rows (and off-cadence when canceled, so the rerun resumes from that
+/// exact row), and always persists the completed state so a later
+/// phase-3 crash resumes without redoing signature work.
+fn resumable_pass<B: Phase1Builder, S: RowStream>(
     stream: &mut S,
     k: usize,
     seed: u64,
     ckpt: Checkpointing<'_>,
-) -> Result<BottomKSignatures> {
+) -> Result<B> {
     let Checkpointing {
         spec,
         key,
@@ -784,18 +788,19 @@ fn bottom_k_resumable<S: RowStream>(
         cancel,
     } = ckpt;
     let m = stream.n_cols() as usize;
-    let mut builder = match checkpoint::load_phase1(spec, key) {
-        Some(Phase1State::Kmh {
-            rows_done,
-            k: ck,
-            counts,
-            sigs,
-        }) if ck as usize == k && sigs.len() == m => {
-            fast_forward(stream, rows_done)?;
-            recovery.resumed_from_row = rows_done;
-            KmhBuilder::from_state(k, seed, rows_done, sigs, counts)
+    let resumed = checkpoint::load_phase1(spec, key).and_then(|s| B::resume(s, k, m, seed));
+    let mut builder = match resumed {
+        Some(builder) => {
+            fast_forward(stream, builder.rows_seen())?;
+            recovery.resumed_from_row = builder.rows_seen();
+            builder
         }
-        _ => KmhBuilder::new(k, m, seed),
+        None => B::new(k, m, seed),
+    };
+    let mut save = |builder: &B| -> Result<()> {
+        checkpoint::save_phase1(spec, key, &builder.state())?;
+        recovery.checkpoints_written += 1;
+        Ok(())
     };
     let mut buf = Vec::new();
     let mut cancel = cancel.throttled(CANCEL_POLL_STRIDE);
@@ -803,18 +808,16 @@ fn bottom_k_resumable<S: RowStream>(
         builder.push_row(row_id, &buf);
         let canceled = cancel.is_canceled();
         if builder.rows_seen() % spec.every_rows == 0 || canceled {
-            save_kmh_state(spec, key, &builder)?;
-            recovery.checkpoints_written += 1;
+            save(&builder)?;
         }
         if canceled {
             cancel.check()?;
         }
     }
     if builder.rows_seen() % spec.every_rows != 0 {
-        save_kmh_state(spec, key, &builder)?;
-        recovery.checkpoints_written += 1;
+        save(&builder)?;
     }
-    Ok(builder.finish())
+    Ok(builder)
 }
 
 /// Skips the checkpointed prefix, erroring if the stream is shorter than
@@ -829,31 +832,6 @@ fn fast_forward<S: RowStream>(stream: &mut S, rows_done: u64) -> Result<()> {
         });
     }
     Ok(())
-}
-
-fn save_mh_state(spec: &CheckpointSpec, key: RunKey, builder: &MhBuilder) -> Result<()> {
-    checkpoint::save_phase1(
-        spec,
-        key,
-        &Phase1State::Mh {
-            rows_done: builder.rows_seen(),
-            sigs: builder.current(),
-        },
-    )
-}
-
-fn save_kmh_state(spec: &CheckpointSpec, key: RunKey, builder: &KmhBuilder) -> Result<()> {
-    let (sigs, counts) = builder.snapshot();
-    checkpoint::save_phase1(
-        spec,
-        key,
-        &Phase1State::Kmh {
-            rows_done: builder.rows_seen(),
-            k: u32::try_from(builder.k()).expect("k fits u32"),
-            counts,
-            sigs,
-        },
-    )
 }
 
 /// Reads a whole stream into a row-major matrix (used by H-LSH).
@@ -1329,6 +1307,45 @@ mod tests {
     }
 
     #[test]
+    fn inconsistent_phase3_frontier_starts_phase3_fresh() {
+        // Phase-3 checkpoints whose CRC, run key and candidate fingerprint
+        // all match, but whose counters cannot belong to the candidate
+        // list: one counter too many, or an intersection larger than its
+        // columns' counts (which would underflow the union).
+        let m = matrix();
+        let cfg = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.8, 11);
+        let plain = Pipeline::new(cfg)
+            .run(&mut MemoryRowStream::new(&m))
+            .unwrap();
+        let (candidates, _) = Pipeline::new(cfg)
+            .generate_candidates(&mut MemoryRowStream::new(&m))
+            .unwrap();
+        assert!(!candidates.is_empty());
+        let key = RunKey::new(&cfg, m.n_rows(), m.n_cols());
+        let fp = checkpoint::candidates_fingerprint(&candidates);
+        let (n, cols) = (candidates.len(), m.n_cols() as usize);
+        for (name, intersections) in [
+            ("extra_counter", vec![0; n + 1]),
+            ("overcount", vec![1000; n]),
+        ] {
+            let spec = checkpoint_spec(&format!("inconsistent_phase3_{name}"));
+            std::fs::create_dir_all(&spec.dir).unwrap();
+            let progress = crate::verify::VerifyProgress {
+                rows_done: 1,
+                intersections,
+                column_counts: vec![0; cols],
+                probes: 0,
+            };
+            checkpoint::save_phase3(&spec, key, fp, &progress).unwrap();
+            let resumed =
+                run_resumable(Pipeline::new(cfg), &mut MemoryRowStream::new(&m), &spec).unwrap();
+            assert_eq!(resumed.metrics.recovery.resumed_from_row, 0, "{name}");
+            assert_eq!(resumed.verified, plain.verified, "{name}");
+            assert_eq!(resumed.column_counts, plain.column_counts, "{name}");
+        }
+    }
+
+    #[test]
     fn run_resumable_resumes_after_phase3_crash() {
         let m = matrix(); // 70 rows
         let cfg = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.8, 11);
@@ -1348,7 +1365,7 @@ mod tests {
         while let Some(id) = stream.read_row(&mut buf).unwrap() {
             builder.push_row(id, &buf);
         }
-        save_mh_state(&spec, key, &builder).unwrap();
+        checkpoint::save_phase1(&spec, key, &builder.state()).unwrap();
 
         // With phase 1 fully skipped (skip_rows bypasses fault injection),
         // the fatal fault at position 40 now fires mid-verify, after the

@@ -18,9 +18,8 @@
 //! ```
 //!
 //! Lookups are fail-open: a missing entry is a miss, and a corrupt or
-//! wrong-shape entry is quarantined into `quarantine/` (like the
-//! checkpoint recovery sweep in [`crate::durable`]) and treated as a
-//! miss — never trusted, never fatal. Stores go through
+//! wrong-shape entry is moved into `quarantine/` (by the same
+//! `durable::quarantine` the recovery sweep uses) and treated as a miss — never trusted, never fatal. Stores go through
 //! [`durable::write_atomic`](crate::durable::write_atomic), so a crash
 //! mid-store leaves either no entry or a complete one, and a failed
 //! store degrades to "not cached" instead of failing the mine.
@@ -90,28 +89,6 @@ impl SignatureCache {
         ))
     }
 
-    /// Moves a bad entry into `quarantine/` so it is never consulted
-    /// again but stays inspectable; best-effort (a failed move just
-    /// leaves the bad entry to lose every future lookup).
-    fn quarantine(&self, path: &Path) {
-        let qdir = self.dir.join(durable::QUARANTINE_DIR);
-        if std::fs::create_dir_all(&qdir).is_err() {
-            return;
-        }
-        let Some(name) = path.file_name() else {
-            return;
-        };
-        let mut dest = qdir.join(name);
-        let mut n = 1u32;
-        while dest.exists() {
-            let mut salted = name.to_os_string();
-            salted.push(format!(".{n}"));
-            dest = qdir.join(salted);
-            n += 1;
-        }
-        let _ = std::fs::rename(path, &dest);
-    }
-
     /// Looks up an MH signature matrix for `(k, seed, n_rows × n_cols)`.
     ///
     /// Returns `None` on a miss; a corrupt or wrong-shape entry is
@@ -129,7 +106,9 @@ impl SignatureCache {
         match decode_signatures(&bytes) {
             Ok(sigs) if sigs.k() == k && sigs.m() == n_cols as usize => Some(sigs),
             _ => {
-                self.quarantine(&path);
+                // Best-effort: a failed move just leaves the bad entry to
+                // lose every future lookup.
+                let _ = durable::quarantine(&self.dir, &path);
                 None
             }
         }
@@ -169,7 +148,9 @@ impl SignatureCache {
         match decode_bottom_k(&bytes) {
             Ok(sigs) if sigs.k() == k && sigs.m() == n_cols as usize => Some(sigs),
             _ => {
-                self.quarantine(&path);
+                // Best-effort: a failed move just leaves the bad entry to
+                // lose every future lookup.
+                let _ = durable::quarantine(&self.dir, &path);
                 None
             }
         }

@@ -20,28 +20,30 @@
 //! Like checkpoints (`docs/ROBUSTNESS.md`), spill files are **advisory**:
 //! any load failure — missing file, bad magic/version/CRC, or a run-key,
 //! shard, or fingerprint mismatch — means "regenerate", never a wrong
-//! answer. Writes go through a temp file plus rename, and the byte layout
-//! (documented in `docs/FORMATS.md`) follows the v2 format family: LE
-//! fields back-to-back behind a 4-byte magic, CRC-32 trailer over
-//! everything after the magic, sizes validated before allocation.
+//! answer. Writes go through a temp file plus rename, and each file is one
+//! state record of [`crate::durable`] (layout in `docs/FORMATS.md`):
+//! the shared `(version, kind, run key)` header, then the kind's payload,
+//! with sizes validated before allocation.
 
 use std::path::{Path, PathBuf};
 
-use sfa_matrix::crc32::crc32;
 use sfa_matrix::{MatrixError, Result};
 use sfa_minhash::CandidatePair;
 
-use crate::checkpoint::RunKey;
+use crate::durable::{self, read_u32s, RunKey, StateFormat};
 use crate::report::VerifiedPair;
 
-/// Magic for spill files.
-const MAGIC: [u8; 4] = *b"SFSP";
-/// Format version.
-const VERSION: u32 = 1;
 /// Record kind: one shard's candidate pairs.
 const KIND_SHARD_CANDIDATES: u32 = 1;
 /// Record kind: one verify group's results.
 const KIND_GROUP_RESULT: u32 = 2;
+
+/// The `.sfsp` state-file format.
+pub(crate) const FORMAT: StateFormat = StateFormat {
+    suffix: ".sfsp",
+    magic: *b"SFSP",
+    kinds: &[KIND_SHARD_CANDIDATES, KIND_GROUP_RESULT],
+};
 
 /// Path of shard `s` of a `g`-way partition inside `dir`.
 pub(crate) fn shard_path(dir: &Path, shard: u32, n_shards: u32) -> PathBuf {
@@ -53,120 +55,10 @@ pub(crate) fn group_path(dir: &Path, idx: usize) -> PathBuf {
     dir.join(format!("verify_group_{idx}.sfsp"))
 }
 
-struct Writer {
-    bytes: Vec<u8>,
-}
-
-impl Writer {
-    fn new(kind: u32, key: RunKey) -> Self {
-        let mut w = Self { bytes: Vec::new() };
-        w.bytes.extend_from_slice(&MAGIC);
-        w.u32(VERSION);
-        w.u32(kind);
-        w.u32(key.fingerprint);
-        w.u32(key.n_rows);
-        w.u32(key.n_cols);
-        w
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends the CRC trailer and durably replaces `path` (tmp + fsync +
-    /// rename + parent-dir fsync, via [`crate::durable::write_atomic`]);
-    /// returns the file size in bytes.
-    fn commit(mut self, path: &Path) -> Result<u64> {
-        let crc = crc32(&self.bytes[4..]);
-        self.u32(crc);
-        crate::durable::write_atomic(path, &self.bytes)
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(MatrixError::Parse {
-                at: self.pos as u64,
-                detail: "spill file truncated".into(),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(MatrixError::Parse {
-                at: self.pos as u64,
-                detail: "trailing bytes in spill file".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Loads `path`, verifies magic/version/CRC and the run key, and returns
-/// the validated image. `None` means "no usable spill file".
-fn open(path: &Path, kind: u32, key: RunKey) -> Option<Vec<u8>> {
-    let bytes = std::fs::read(path).ok()?;
-    if bytes.len() < 28 || bytes[0..4] != MAGIC {
-        return None;
-    }
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(&bytes[4..bytes.len() - 4]) != stored {
-        return None;
-    }
-    let mut r = Reader {
-        bytes: &bytes[..bytes.len() - 4],
-        pos: 4,
-    };
-    let header_ok = (|| -> Result<bool> {
-        Ok(r.u32()? == VERSION
-            && r.u32()? == kind
-            && r.u32()? == key.fingerprint
-            && r.u32()? == key.n_rows
-            && r.u32()? == key.n_cols)
-    })()
-    .unwrap_or(false);
-    if !header_ok {
-        return None;
-    }
-    Some(bytes)
-}
-
-/// A payload reader positioned just past the common header (offset 24) of
-/// a validated spill image.
-fn payload(bytes: &[u8]) -> Reader<'_> {
-    Reader {
-        bytes: &bytes[..bytes.len() - 4],
-        pos: 24,
+fn mismatch(at: u64, detail: &str) -> MatrixError {
+    MatrixError::Parse {
+        at,
+        detail: detail.into(),
     }
 }
 
@@ -178,7 +70,7 @@ pub(crate) fn save_shard_candidates(
     n_shards: u32,
     candidates: &[CandidatePair],
 ) -> Result<u64> {
-    let mut w = Writer::new(KIND_SHARD_CANDIDATES, key);
+    let mut w = FORMAT.writer(Some(KIND_SHARD_CANDIDATES), key);
     w.u32(shard);
     w.u32(n_shards);
     w.u32(u32::try_from(candidates.len()).expect("candidate count fits u32"));
@@ -187,7 +79,7 @@ pub(crate) fn save_shard_candidates(
         w.u32(c.j);
         w.u64(c.estimate.to_bits());
     }
-    w.commit(&shard_path(dir, shard, n_shards))
+    durable::write_atomic(&shard_path(dir, shard, n_shards), &w.seal())
 }
 
 /// Loads one shard's candidate list, if a valid spill for exactly this
@@ -198,37 +90,26 @@ pub(crate) fn load_shard_candidates(
     shard: u32,
     n_shards: u32,
 ) -> Option<Vec<CandidatePair>> {
-    let bytes = open(
-        &shard_path(dir, shard, n_shards),
-        KIND_SHARD_CANDIDATES,
-        key,
-    )?;
-    let parse = |r: &mut Reader<'_>| -> Result<Vec<CandidatePair>> {
-        let bad = |detail: &str, at: u64| MatrixError::Parse {
-            at,
-            detail: detail.into(),
-        };
-        if r.u32()? != shard || r.u32()? != n_shards {
-            return Err(bad("spill shard mismatch", 24));
+    let path = shard_path(dir, shard, n_shards);
+    FORMAT.load(&path, KIND_SHARD_CANDIDATES, key, |c| {
+        if c.u32()? != shard || c.u32()? != n_shards {
+            return Err(mismatch(24, "spill shard mismatch"));
         }
-        let n = r.u32()? as usize;
-        if r.remaining() < n.saturating_mul(16) {
-            return Err(bad("spill record count exceeds payload", r.pos as u64));
+        let n = c.u32()? as usize;
+        if c.remaining() < n.saturating_mul(16) {
+            return Err(mismatch(c.offset(), "spill record count exceeds payload"));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let i = r.u32()?;
-            let j = r.u32()?;
-            let estimate = f64::from_bits(r.u64()?);
-            if i >= j || j >= key.n_cols {
-                return Err(bad("spill pair ids out of range", r.pos as u64));
-            }
-            out.push(CandidatePair { i, j, estimate });
-        }
-        r.done()?;
-        Ok(out)
-    };
-    parse(&mut payload(&bytes)).ok()
+        (0..n)
+            .map(|_| {
+                let (i, j) = (c.u32()?, c.u32()?);
+                let estimate = f64::from_bits(c.u64()?);
+                if i >= j || j >= key.n_cols {
+                    return Err(mismatch(c.offset(), "spill pair ids out of range"));
+                }
+                Ok(CandidatePair { i, j, estimate })
+            })
+            .collect()
+    })
 }
 
 /// Persists one verify group's results — its verified pairs, the full
@@ -244,7 +125,7 @@ pub(crate) fn save_group_result(
     column_counts: &[u32],
     probes: u64,
 ) -> Result<u64> {
-    let mut w = Writer::new(KIND_GROUP_RESULT, key);
+    let mut w = FORMAT.writer(Some(KIND_GROUP_RESULT), key);
     w.u32(cand_fingerprint);
     w.u32(u32::try_from(verified.len()).expect("verified count fits u32"));
     for v in verified {
@@ -260,7 +141,7 @@ pub(crate) fn save_group_result(
         w.u32(c);
     }
     w.u64(probes);
-    w.commit(&group_path(dir, group_idx))
+    durable::write_atomic(&group_path(dir, group_idx), &w.seal())
 }
 
 /// Loads a verify group's results, if a valid spill for exactly this
@@ -271,95 +152,33 @@ pub(crate) fn load_group_result(
     group_idx: usize,
     cand_fingerprint: u32,
 ) -> Option<(Vec<VerifiedPair>, Vec<u32>, u64)> {
-    let bytes = open(&group_path(dir, group_idx), KIND_GROUP_RESULT, key)?;
-    let parse = |r: &mut Reader<'_>| -> Result<(Vec<VerifiedPair>, Vec<u32>, u64)> {
-        let bad = |detail: &str, at: u64| MatrixError::Parse {
-            at,
-            detail: detail.into(),
-        };
-        if r.u32()? != cand_fingerprint {
-            return Err(bad("spill group fingerprint mismatch", 24));
+    let path = group_path(dir, group_idx);
+    FORMAT.load(&path, KIND_GROUP_RESULT, key, |c| {
+        if c.u32()? != cand_fingerprint {
+            return Err(mismatch(24, "spill group fingerprint mismatch"));
         }
-        let n = r.u32()? as usize;
-        if r.remaining() < n.saturating_mul(32) {
-            return Err(bad("spill record count exceeds payload", r.pos as u64));
+        let n = c.u32()? as usize;
+        if c.remaining() < n.saturating_mul(32) {
+            return Err(mismatch(c.offset(), "spill record count exceeds payload"));
         }
-        let mut verified = Vec::with_capacity(n);
-        for _ in 0..n {
-            let i = r.u32()?;
-            let j = r.u32()?;
-            let intersection = r.u32()?;
-            let union = r.u32()?;
-            let similarity = f64::from_bits(r.u64()?);
-            let estimate = f64::from_bits(r.u64()?);
-            verified.push(VerifiedPair {
-                i,
-                j,
-                intersection,
-                union,
-                similarity,
-                estimate,
-            });
+        let verified = (0..n)
+            .map(|_| {
+                Ok(VerifiedPair {
+                    i: c.u32()?,
+                    j: c.u32()?,
+                    intersection: c.u32()?,
+                    union: c.u32()?,
+                    similarity: f64::from_bits(c.u64()?),
+                    estimate: f64::from_bits(c.u64()?),
+                })
+            })
+            .collect::<Result<_>>()?;
+        let column_counts = read_u32s(c)?;
+        if column_counts.len() != key.n_cols as usize {
+            return Err(mismatch(c.offset(), "spill column-count length mismatch"));
         }
-        let m = r.u32()? as usize;
-        if m != key.n_cols as usize {
-            return Err(bad("spill column-count length mismatch", r.pos as u64));
-        }
-        if r.remaining() < m.saturating_mul(4) {
-            return Err(bad("spill column counts exceed payload", r.pos as u64));
-        }
-        let mut column_counts = Vec::with_capacity(m);
-        for _ in 0..m {
-            column_counts.push(r.u32()?);
-        }
-        let probes = r.u64()?;
-        r.done()?;
-        Ok((verified, column_counts, probes))
-    };
-    parse(&mut payload(&bytes)).ok()
-}
-
-/// Whether `path` holds an intact spill record (either kind) belonging to
-/// `key` — the startup-recovery test deciding keep vs quarantine.
-pub(crate) fn valid_for(path: &Path, key: RunKey) -> bool {
-    open(path, KIND_SHARD_CANDIDATES, key).is_some() || open(path, KIND_GROUP_RESULT, key).is_some()
-}
-
-/// Strictly validates the container format of a spill file: magic,
-/// minimum length, CRC-32 trailer, version, and record kind. Run-key and
-/// payload semantics are *not* checked — this answers "is the file
-/// intact", not "does it belong to my run".
-///
-/// # Errors
-///
-/// [`MatrixError::Parse`] or [`MatrixError::Checksum`] describing the
-/// first violation; any single-byte mutation or truncation of a valid
-/// file is guaranteed to be rejected.
-pub fn validate_file(path: &Path) -> Result<()> {
-    let bytes = std::fs::read(path)?;
-    let bad = |at: usize, detail: &str| MatrixError::Parse {
-        at: at as u64,
-        detail: detail.into(),
-    };
-    if bytes.len() < 28 {
-        return Err(bad(bytes.len(), "spill file shorter than its header"));
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(bad(0, "bad spill magic"));
-    }
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[4..bytes.len() - 4]);
-    if stored != computed {
-        return Err(MatrixError::Checksum { stored, computed });
-    }
-    let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    if u32_at(4) != VERSION {
-        return Err(bad(4, "unknown spill version"));
-    }
-    if !matches!(u32_at(8), KIND_SHARD_CANDIDATES | KIND_GROUP_RESULT) {
-        return Err(bad(8, "unknown spill record kind"));
-    }
-    Ok(())
+        Ok((verified, column_counts, c.u64()?))
+    })
 }
 
 /// The largest partition width `g` for which `dir` holds at least one
@@ -391,40 +210,11 @@ pub(crate) fn max_valid_shard_count(dir: &Path, key: RunKey) -> Option<u32> {
         }
         // Filename candidates are only adopted if the file itself is valid
         // for this run key.
-        if open(
-            &shard_path(dir, shard, n_shards),
-            KIND_SHARD_CANDIDATES,
-            key,
-        )
-        .is_some()
-        {
+        if load_shard_candidates(dir, key, shard, n_shards).is_some() {
             best = Some(n_shards);
         }
     }
     best
-}
-
-/// Removes every spill file (`*.sfsp`, plus stray `*.sfsp.tmp`) in `dir`,
-/// tolerating files that vanish concurrently.
-pub(crate) fn clear(dir: &Path) -> Result<()> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e.into()),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.ends_with(".sfsp") || name.ends_with(".sfsp.tmp") {
-            match std::fs::remove_file(entry.path()) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -517,28 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_file_checks_container_not_run_key() {
-        let d = dir("validate-file");
-        save_shard_candidates(&d, key(), 0, 2, &cands()).expect("save");
-        let path = shard_path(&d, 0, 2);
-        validate_file(&path).expect("intact file validates");
-        assert!(valid_for(&path, key()));
-        let other = RunKey {
-            fingerprint: 0,
-            n_rows: 1,
-            n_cols: 2,
-        };
-        assert!(!valid_for(&path, other), "wrong key fails valid_for");
-        validate_file(&path).expect("but the container is still intact");
-        let mut bytes = std::fs::read(&path).expect("read");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).expect("write");
-        assert!(validate_file(&path).is_err(), "trailer flip rejected");
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
     fn max_valid_shard_count_prefers_widest_valid_partition() {
         let d = dir("max-g");
         assert_eq!(max_valid_shard_count(&d, key()), None);
@@ -548,20 +316,6 @@ mod tests {
         // A wider but corrupt file is not adopted.
         std::fs::write(shard_path(&d, 0, 8), b"SFSPgarbage").expect("write");
         assert_eq!(max_valid_shard_count(&d, key()), Some(4));
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn clear_removes_only_spill_files() {
-        let d = dir("clear");
-        save_shard_candidates(&d, key(), 0, 1, &cands()).expect("save");
-        save_group_result(&d, key(), 0, 1, &[], &[0; 50], 0).expect("save");
-        let keep = d.join("keep.txt");
-        std::fs::write(&keep, b"x").expect("write");
-        clear(&d).expect("clear");
-        assert!(keep.exists());
-        assert!(load_shard_candidates(&d, key(), 0, 1).is_none());
-        assert!(load_group_result(&d, key(), 0, 1).is_none());
         let _ = std::fs::remove_dir_all(&d);
     }
 }

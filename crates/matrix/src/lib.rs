@@ -29,6 +29,9 @@
 //!   prove that phase 1 and phase 3 really are single-pass.
 //! * [`io`] — a small text format and a checksummed binary format for
 //!   matrices ([`crc32`] holds the in-tree CRC-32 implementation).
+//! * [`record`] — the checksummed record codec (magic, little-endian
+//!   fields, CRC-32 trailer) behind every sketch, checkpoint, spill and
+//!   manifest file the miner persists.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultyRowStream`])
 //!   and bounded-retry recovery ([`fault::RetryingRowStream`]) for testing
 //!   and surviving transient IO failures mid-pass.
@@ -54,6 +57,7 @@ pub mod fault;
 pub mod io;
 pub mod kernel;
 pub mod ops;
+pub mod record;
 pub mod stats;
 pub mod stream;
 pub mod triangle;

@@ -186,29 +186,17 @@ impl KmhBuilder {
         }
     }
 
-    /// Reconstructs a builder from checkpointed state: per-column retained
-    /// values (each ascending, at most `k` long) and 1-counts for the first
-    /// `rows_seen` rows. Pushing the remaining rows yields exactly what an
-    /// uninterrupted builder would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigs` and `counts` lengths disagree or a column retains
-    /// more than `k` values.
+    /// Reconstructs a builder from checkpointed state: the partial
+    /// sketches (per-column retained values and 1-counts) of the first
+    /// `rows_seen` rows, under configuration `(sigs.k(), sigs.m(), seed)`.
+    /// Pushing the remaining rows yields exactly what an uninterrupted
+    /// builder would have produced.
     #[must_use]
-    pub fn from_state(
-        k: usize,
-        seed: u64,
-        rows_seen: u64,
-        sigs: Vec<Vec<u64>>,
-        counts: Vec<u32>,
-    ) -> Self {
-        assert_eq!(sigs.len(), counts.len(), "per-column lengths disagree");
+    pub fn from_state(seed: u64, rows_seen: u64, sigs: BottomKSignatures) -> Self {
+        let (k, sigs, counts) = sigs.into_parts();
         let trackers: Vec<BottomK> = sigs
             .into_iter()
-            .enumerate()
-            .map(|(j, values)| {
-                assert!(values.len() <= k, "column {j} retains more than k values");
+            .map(|values| {
                 let mut t = BottomK::new(k);
                 for v in values {
                     t.insert(v);
@@ -248,12 +236,11 @@ impl KmhBuilder {
         self.trackers.len()
     }
 
-    /// The current per-column state, for checkpointing: for each column its
-    /// retained values in ascending order, and its 1-count so far.
+    /// A snapshot of the current sketches (usable mid-stream).
     #[must_use]
-    pub fn snapshot(&self) -> (Vec<Vec<u64>>, Vec<u32>) {
+    pub fn current(&self) -> BottomKSignatures {
         let sigs = self.trackers.iter().map(BottomK::to_sorted_vec).collect();
-        (sigs, self.counts.clone())
+        BottomKSignatures::from_parts(self.k, sigs, self.counts.clone())
     }
 
     /// Number of rows folded in so far.
@@ -445,10 +432,9 @@ mod tests {
         for (id, cols) in m.rows().take(3) {
             first.push_row(id, cols);
         }
-        let (sigs, counts) = first.snapshot();
-        let rows_seen = first.rows_seen();
+        let (rows_seen, sigs) = (first.rows_seen(), first.current());
         drop(first);
-        let mut resumed = KmhBuilder::from_state(2, 5, rows_seen, sigs, counts);
+        let mut resumed = KmhBuilder::from_state(5, rows_seen, sigs);
         assert_eq!((resumed.k(), resumed.m(), resumed.seed()), (2, 4, 5));
         for (id, cols) in m.rows().skip(3) {
             resumed.push_row(id, cols);

@@ -128,6 +128,12 @@ impl BottomKSignatures {
         }
         Self { k, sigs, counts }
     }
+
+    /// The sketch size, per-column signatures and counts, by value (for a
+    /// builder resuming from a sketch).
+    pub(crate) fn into_parts(self) -> (usize, Vec<Vec<u64>>, Vec<u32>) {
+        (self.k, self.sigs, self.counts)
+    }
 }
 
 /// Computes K-MH signatures in a single pass over `stream`.

@@ -6,7 +6,7 @@
 //! [`MhBuilder`](crate::builder::MhBuilder)) and re-mine at many thresholds
 //! or band configurations without touching the table again.
 //!
-//! Formats (little-endian):
+//! Formats (little-endian), both [`sfa_matrix::record`] records:
 //!
 //! * `.sfmh` — `b"SFM2"`, `k: u32`, `m: u32`, then `k·m` `u64` values
 //!   (row-major), then a CRC-32 trailer, for [`SignatureMatrix`].
@@ -14,10 +14,10 @@
 //!   `count: u32`, `len: u32`, `len` ascending `u64` values, then a CRC-32
 //!   trailer, for [`BottomKSignatures`].
 //!
-//! The trailing CRC-32 (see [`sfa_matrix::crc32`]) covers everything after
-//! the magic and is verified before any value is trusted, so bit flips and
-//! truncation are rejected up front. Readers also still accept the legacy
-//! checksum-less v1 layouts (magics `b"SFMH"`/`b"SFKM"`, no trailer), which
+//! The trailer covers everything after the magic and is verified before
+//! any value is trusted, so bit flips and truncation are rejected up
+//! front. Readers also still accept the legacy checksum-less v1 layouts
+//! (magics `b"SFMH"`/`b"SFKM"`, same body, no trailer), which
 //! [`write_signatures_v1`]/[`write_bottom_k_v1`] keep producible.
 //!
 //! Byte-exact layouts and the validation rules readers enforce are
@@ -25,14 +25,15 @@
 //!
 //! The [`encode_signatures`]/[`decode_signatures`] (and `_bottom_k`) pairs
 //! expose the same formats as in-memory byte images, so callers that need
-//! atomic or fault-injected IO (the signature cache, checkpoints) can route
-//! the bytes through their own writer.
+//! atomic or fault-injected IO (the signature cache) can route the bytes
+//! through their own writer. The body codecs
+//! ([`write_signatures_body`]/[`read_signatures_body`] and `_bottom_k`)
+//! are the same bytes without magic or trailer, for records that embed a
+//! sketch (phase-1 checkpoints).
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use sfa_matrix::crc32::crc32;
+use sfa_matrix::record::{self, Cursor, Writer};
 use sfa_matrix::{MatrixError, Result};
 
 use crate::kmh::BottomKSignatures;
@@ -43,130 +44,29 @@ const MH_MAGIC_V2: [u8; 4] = *b"SFM2";
 const KMH_MAGIC: [u8; 4] = *b"SFKM";
 const KMH_MAGIC_V2: [u8; 4] = *b"SFK2";
 
-fn write_u32(w: &mut impl Write, v: u32) -> Result<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> Result<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-/// A bounds-checked cursor over an in-memory file image; every error
-/// carries the byte offset where the data ran out or went wrong.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    const fn new(bytes: &'a [u8], pos: usize) -> Self {
-        Self { bytes, pos }
-    }
-
-    /// Current byte offset (for error messages).
-    const fn offset(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// Bytes between the cursor and the end of the parseable region.
-    const fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(MatrixError::Parse {
-                at: self.offset(),
-                detail: format!(
-                    "file truncated: needed {n} bytes, {} left",
-                    self.remaining()
-                ),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn read_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn read_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-/// Checks a sketch image's magic against the v1/v2 constants and (for v2)
-/// verifies the CRC-32 trailer, before any value is trusted.
-fn check_sketch(bytes: &[u8], magic_v1: [u8; 4], magic_v2: [u8; 4], what: &str) -> Result<()> {
-    if bytes.len() < 4 {
-        return Err(MatrixError::Parse {
-            at: bytes.len() as u64,
-            detail: format!("file too short for a magic (not an {what} sketch)"),
-        });
-    }
-    let v2 = match &bytes[0..4] {
-        m if *m == magic_v1 => false,
-        m if *m == magic_v2 => true,
-        _ => {
-            return Err(MatrixError::Parse {
-                at: 0,
-                detail: format!("bad magic (not an {what} sketch)"),
-            })
-        }
-    };
-    if v2 {
-        if bytes.len() < 8 {
-            return Err(MatrixError::Parse {
-                at: bytes.len() as u64,
-                detail: "v2 file shorter than magic + checksum trailer".into(),
-            });
-        }
-        let body_end = bytes.len() - 4;
-        let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
-        let computed = crc32(&bytes[4..body_end]);
-        if stored != computed {
-            return Err(MatrixError::Checksum { stored, computed });
-        }
-    }
-    Ok(())
-}
-
-/// Assembles a v2 image: magic, body, CRC-32 trailer over the body.
-fn seal_v2(magic: [u8; 4], body: &[u8]) -> Vec<u8> {
-    let crc = crc32(body);
-    let mut out = Vec::with_capacity(4 + body.len() + 4);
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// The payload region of a loaded sketch image: everything after the magic,
-/// minus the CRC trailer when the magic says v2.
-fn payload(bytes: &[u8], magic_v2: [u8; 4]) -> Cursor<'_> {
-    let end = if bytes[0..4] == magic_v2 {
-        bytes.len() - 4
+/// A cursor over a sketch image's body: a v1 magic has no trailer to
+/// check, anything else must be an intact v2 record.
+fn sketch_body(bytes: &[u8], magic_v1: [u8; 4], magic_v2: [u8; 4]) -> Result<Cursor<'_>> {
+    if bytes.get(..4) == Some(&magic_v1[..]) {
+        Ok(Cursor::new(bytes, 4))
     } else {
-        bytes.len()
-    };
-    Cursor::new(&bytes[..end], 4)
+        record::open(bytes, magic_v2)
+    }
+}
+
+/// The v1 image of a sealed v2 sketch: the v1 magic, the same body, no
+/// trailer.
+fn v1_image(magic_v1: [u8; 4], sealed: &[u8]) -> Vec<u8> {
+    [&magic_v1[..], &sealed[4..sealed.len() - 4]].concat()
 }
 
 /// Encodes a [`SignatureMatrix`] as a checksummed v2 `.sfmh` byte image —
 /// the exact bytes [`write_signatures`] puts on disk.
 #[must_use]
 pub fn encode_signatures(sigs: &SignatureMatrix) -> Vec<u8> {
-    let mut body = Vec::new();
-    write_signatures_body(&mut body, sigs).expect("writing to a Vec cannot fail");
-    seal_v2(MH_MAGIC_V2, &body)
+    let mut w = Writer::new(MH_MAGIC_V2);
+    write_signatures_body(&mut w, sigs);
+    w.seal()
 }
 
 /// Writes a [`SignatureMatrix`] to `path` in the checksummed v2 format.
@@ -186,22 +86,44 @@ pub fn write_signatures(sigs: &SignatureMatrix, path: &Path) -> Result<()> {
 ///
 /// Propagates IO errors.
 pub fn write_signatures_v1(sigs: &SignatureMatrix, path: &Path) -> Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&MH_MAGIC)?;
-    write_signatures_body(&mut w, sigs)?;
-    w.flush()?;
+    std::fs::write(path, v1_image(MH_MAGIC, &encode_signatures(sigs)))?;
     Ok(())
 }
 
-fn write_signatures_body(w: &mut impl Write, sigs: &SignatureMatrix) -> Result<()> {
-    write_u32(w, u32::try_from(sigs.k()).expect("k fits u32"))?;
-    write_u32(w, u32::try_from(sigs.m()).expect("m fits u32"))?;
+/// Appends the `.sfmh` body of `sigs`: `k`, `m`, then the values
+/// row-major.
+pub fn write_signatures_body(w: &mut Writer, sigs: &SignatureMatrix) {
+    w.u32(u32::try_from(sigs.k()).expect("k fits u32"));
+    w.u32(u32::try_from(sigs.m()).expect("m fits u32"));
     for l in 0..sigs.k() {
         for &v in sigs.row(l) {
-            write_u64(w, v)?;
+            w.u64(v);
         }
     }
-    Ok(())
+}
+
+/// Reads a `.sfmh` body written by [`write_signatures_body`], checking the
+/// declared `k·m` against the bytes left before allocating.
+///
+/// # Errors
+///
+/// [`MatrixError::Parse`] on a short or oversized declaration.
+pub fn read_signatures_body(c: &mut Cursor<'_>) -> Result<SignatureMatrix> {
+    let k = c.u32()? as usize;
+    let m = c.u32()? as usize;
+    // A corrupt header must not drive a huge reservation.
+    let declared = (k as u128) * (m as u128) * 8;
+    if declared > c.remaining() as u128 {
+        return Err(MatrixError::Parse {
+            at: c.offset(),
+            detail: format!(
+                "header declares k={k}, m={m} ({declared} payload bytes) but {} are present",
+                c.remaining()
+            ),
+        });
+    }
+    let values = (0..k * m).map(|_| c.u64()).collect::<Result<_>>()?;
+    Ok(SignatureMatrix::from_values(k, m, values))
 }
 
 /// Reads a [`SignatureMatrix`] from `path` (v1 `SFMH` or checksummed v2
@@ -222,36 +144,19 @@ pub fn read_signatures(path: &Path) -> Result<SignatureMatrix> {
 ///
 /// As [`read_signatures`], minus the IO.
 pub fn decode_signatures(bytes: &[u8]) -> Result<SignatureMatrix> {
-    check_sketch(bytes, MH_MAGIC, MH_MAGIC_V2, "SFMH/SFM2")?;
-    let mut c = payload(bytes, MH_MAGIC_V2);
-    let k = c.read_u32()? as usize;
-    let m = c.read_u32()? as usize;
-    // Validate the declared size against the actual payload *before*
-    // allocating: a corrupt header must not drive a huge reservation.
-    let declared = (k as u128) * (m as u128) * 8;
-    if declared != c.remaining() as u128 {
-        return Err(MatrixError::Parse {
-            at: c.offset(),
-            detail: format!(
-                "header declares k={k}, m={m} ({declared} payload bytes) but {} are present",
-                c.remaining()
-            ),
-        });
-    }
-    let mut values = Vec::with_capacity(k * m);
-    for _ in 0..k * m {
-        values.push(c.read_u64()?);
-    }
-    Ok(SignatureMatrix::from_values(k, m, values))
+    let mut c = sketch_body(bytes, MH_MAGIC, MH_MAGIC_V2)?;
+    let sigs = read_signatures_body(&mut c)?;
+    c.finish()?;
+    Ok(sigs)
 }
 
 /// Encodes [`BottomKSignatures`] as a checksummed v2 `.sfkm` byte image —
 /// the exact bytes [`write_bottom_k`] puts on disk.
 #[must_use]
 pub fn encode_bottom_k(sigs: &BottomKSignatures) -> Vec<u8> {
-    let mut body = Vec::new();
-    write_bottom_k_body(&mut body, sigs).expect("writing to a Vec cannot fail");
-    seal_v2(KMH_MAGIC_V2, &body)
+    let mut w = Writer::new(KMH_MAGIC_V2);
+    write_bottom_k_body(&mut w, sigs);
+    w.seal()
 }
 
 /// Writes [`BottomKSignatures`] to `path` in the checksummed v2 format.
@@ -271,25 +176,75 @@ pub fn write_bottom_k(sigs: &BottomKSignatures, path: &Path) -> Result<()> {
 ///
 /// Propagates IO errors.
 pub fn write_bottom_k_v1(sigs: &BottomKSignatures, path: &Path) -> Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&KMH_MAGIC)?;
-    write_bottom_k_body(&mut w, sigs)?;
-    w.flush()?;
+    std::fs::write(path, v1_image(KMH_MAGIC, &encode_bottom_k(sigs)))?;
     Ok(())
 }
 
-fn write_bottom_k_body(w: &mut impl Write, sigs: &BottomKSignatures) -> Result<()> {
-    write_u32(w, u32::try_from(sigs.k()).expect("k fits u32"))?;
-    write_u32(w, u32::try_from(sigs.m()).expect("m fits u32"))?;
+/// Appends the `.sfkm` body of `sigs`: `k`, `m`, then per column its
+/// count, length and ascending values.
+pub fn write_bottom_k_body(w: &mut Writer, sigs: &BottomKSignatures) {
+    w.u32(u32::try_from(sigs.k()).expect("k fits u32"));
+    w.u32(u32::try_from(sigs.m()).expect("m fits u32"));
     for j in 0..sigs.m() as u32 {
-        write_u32(w, sigs.column_count(j))?;
+        w.u32(sigs.column_count(j));
         let sig = sigs.signature(j);
-        write_u32(w, u32::try_from(sig.len()).expect("len fits u32"))?;
+        w.u32(u32::try_from(sig.len()).expect("len fits u32"));
         for &v in sig {
-            write_u64(w, v)?;
+            w.u64(v);
         }
     }
-    Ok(())
+}
+
+/// Reads a `.sfkm` body written by [`write_bottom_k_body`], bounding every
+/// declared size by the bytes left before allocating.
+///
+/// # Errors
+///
+/// [`MatrixError::Parse`] (with the byte offset) on a short payload, a
+/// signature longer than `k`, or values that are not strictly ascending.
+pub fn read_bottom_k_body(c: &mut Cursor<'_>) -> Result<BottomKSignatures> {
+    let k = c.u32()? as usize;
+    let m = c.u32()? as usize;
+    // Each column record is at least 8 bytes.
+    if (m as u64) * 8 > c.remaining() as u64 {
+        return Err(MatrixError::Parse {
+            at: c.offset(),
+            detail: format!(
+                "header declares {m} columns but only {} payload bytes remain",
+                c.remaining()
+            ),
+        });
+    }
+    let mut sigs = Vec::with_capacity(m);
+    let mut counts = Vec::with_capacity(m);
+    for j in 0..m {
+        counts.push(c.u32()?);
+        let len_offset = c.offset();
+        let len = c.u32()? as usize;
+        if len > k || (len as u64) * 8 > c.remaining() as u64 {
+            return Err(MatrixError::Parse {
+                at: len_offset,
+                detail: format!(
+                    "column {j}: signature length {len} exceeds k = {k} or the {} bytes left",
+                    c.remaining()
+                ),
+            });
+        }
+        let mut sig: Vec<u64> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let value_offset = c.offset();
+            let v = c.u64()?;
+            if sig.last().is_some_and(|&p| p >= v) {
+                return Err(MatrixError::Parse {
+                    at: value_offset,
+                    detail: format!("column {j}: signature not strictly ascending"),
+                });
+            }
+            sig.push(v);
+        }
+        sigs.push(sig);
+    }
+    Ok(BottomKSignatures::from_parts(k, sigs, counts))
 }
 
 /// Reads [`BottomKSignatures`] from `path` (v1 `SFKM` or checksummed v2
@@ -311,66 +266,10 @@ pub fn read_bottom_k(path: &Path) -> Result<BottomKSignatures> {
 ///
 /// As [`read_bottom_k`], minus the IO.
 pub fn decode_bottom_k(bytes: &[u8]) -> Result<BottomKSignatures> {
-    check_sketch(bytes, KMH_MAGIC, KMH_MAGIC_V2, "SFKM/SFK2")?;
-    let mut c = payload(bytes, KMH_MAGIC_V2);
-    let k = c.read_u32()? as usize;
-    let m = c.read_u32()? as usize;
-    // Each column record is at least 8 bytes; bound the declared column
-    // count by the payload before reserving per-column vectors.
-    if (m as u64) * 8 > c.remaining() as u64 {
-        return Err(MatrixError::Parse {
-            at: c.offset(),
-            detail: format!(
-                "header declares {m} columns but only {} payload bytes remain",
-                c.remaining()
-            ),
-        });
-    }
-    let mut sigs = Vec::with_capacity(m);
-    let mut counts = Vec::with_capacity(m);
-    for j in 0..m {
-        counts.push(c.read_u32()?);
-        let len_offset = c.offset();
-        let len = c.read_u32()? as usize;
-        if len > k {
-            return Err(MatrixError::Parse {
-                at: len_offset,
-                detail: format!("column {j}: signature length {len} exceeds k = {k}"),
-            });
-        }
-        if (len as u64) * 8 > c.remaining() as u64 {
-            return Err(MatrixError::Parse {
-                at: len_offset,
-                detail: format!(
-                    "column {j}: signature of {len} values needs {} bytes, {} left",
-                    len * 8,
-                    c.remaining()
-                ),
-            });
-        }
-        let mut sig = Vec::with_capacity(len);
-        let mut prev: Option<u64> = None;
-        for _ in 0..len {
-            let value_offset = c.offset();
-            let v = c.read_u64()?;
-            if prev.is_some_and(|p| p >= v) {
-                return Err(MatrixError::Parse {
-                    at: value_offset,
-                    detail: format!("column {j}: signature not strictly ascending"),
-                });
-            }
-            prev = Some(v);
-            sig.push(v);
-        }
-        sigs.push(sig);
-    }
-    if c.remaining() > 0 {
-        return Err(MatrixError::Parse {
-            at: c.offset(),
-            detail: format!("{} trailing bytes after the last column", c.remaining()),
-        });
-    }
-    Ok(BottomKSignatures::from_parts(k, sigs, counts))
+    let mut c = sketch_body(bytes, KMH_MAGIC, KMH_MAGIC_V2)?;
+    let sigs = read_bottom_k_body(&mut c)?;
+    c.finish()?;
+    Ok(sigs)
 }
 
 #[cfg(test)]

@@ -1,13 +1,16 @@
 //! Property tests for the checksummed on-disk formats: any single-byte
 //! mutation of a valid `.sfab` / `.sfmh` / `.sfkm` table/sketch file or
-//! `.sfcp` / `.sfsp` checkpoint/spill file, and any truncation, must
-//! surface as a clean `Err` from the reader — never a panic, and never
-//! silently wrong data.
+//! `.sfcp` / `.sfsp` / `.sfmf` checkpoint/spill/manifest file, and any
+//! truncation, must surface as a clean `Err` from the reader — never a
+//! panic, and never silently wrong data.
 //!
 //! The CRC-32 trailer covers everything after the magic, so every
 //! mutation is either a magic/parse error or a checksum mismatch. The
-//! checkpoint and spill fixtures come from the real pipeline writers: a
-//! sharded, checkpointed run canceled mid-verify leaves both behind.
+//! state-file fixtures come from the real pipeline writers: a sharded,
+//! checkpointed run canceled mid-verify leaves both checkpoints, a spill
+//! and the manifest behind, and one such run per sketch kind (MH and
+//! K-MH) covers both phase-1 builder tags. All of them go through the one
+//! state-file validator, `sfa::core::durable::validate_file`.
 
 use proptest::prelude::*;
 
@@ -70,14 +73,15 @@ impl RowStream for CancelAfter<'_> {
     }
 }
 
-/// Produces pristine checkpoint (`.sfcp`) and spill (`.sfsp`) bytes via
-/// the real pipeline writers: a sharded, checkpointed run over the sample
-/// matrix is canceled mid-verify, which flushes a phase-3 checkpoint
-/// (flush-then-error) after the candidate phase already spilled its
-/// shards.
-fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
+/// Produces pristine checkpoint (`.sfcp`), spill (`.sfsp`) and manifest
+/// (`.sfmf`) bytes via the real pipeline writers: a sharded, checkpointed
+/// run of `scheme` over the sample matrix is canceled mid-verify, which
+/// flushes a phase-3 checkpoint (flush-then-error) after the signature
+/// pass saved its final phase-1 checkpoint and the candidate phase
+/// spilled its shards.
+fn state_fixtures(prefix: &str, tag: u64, scheme: Scheme) -> Vec<(&'static str, Vec<u8>)> {
     let m = sample_matrix();
-    let dir = tmp(&format!("{prefix}{tag}_state"));
+    let dir = tmp(&format!("{prefix}{tag}_{}_state", scheme.name()));
     std::fs::remove_dir_all(&dir).ok();
     let token = CancelToken::new();
     let mut stream = CancelAfter {
@@ -90,7 +94,7 @@ fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
     };
     let spec = CheckpointSpec::new(&dir).with_every_rows(64);
     let budget = MemoryBudget::new(4096, &dir);
-    let config = PipelineConfig::new(Scheme::Mh { k: 8, delta: 0.2 }, 0.5, 42);
+    let config = PipelineConfig::new(scheme, 0.5, 42);
     let pool = ThreadPool::new(1);
     let plan = ExecPlan {
         budget: Some(&budget),
@@ -102,7 +106,12 @@ fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
         .unwrap_err();
     assert!(err.is_canceled(), "fixture run must cancel, got {err}");
 
-    let sfcp = std::fs::read(dir.join("phase3.sfcp")).unwrap();
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    let (phase1, phase3, manifest) = (
+        read("phase1.sfcp"),
+        read("phase3.sfcp"),
+        read("manifest.sfmf"),
+    );
     let sfsp = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| {
@@ -112,7 +121,12 @@ fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
         .next()
         .expect("canceled sharded run left no spill file");
     std::fs::remove_dir_all(&dir).ok();
-    vec![("sfcp", sfcp), ("sfsp", sfsp)]
+    vec![
+        ("sfcp", phase1),
+        ("sfcp", phase3),
+        ("sfsp", sfsp),
+        ("sfmf", manifest),
+    ]
 }
 
 /// Writes each checksummed format once and returns the pristine bytes
@@ -142,7 +156,12 @@ fn fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
         ("sfmh", std::fs::read(&pm).unwrap()),
         ("sfkm", std::fs::read(&pk).unwrap()),
     ];
-    out.extend(state_fixtures(prefix, tag));
+    out.extend(state_fixtures(prefix, tag, Scheme::Mh { k: 8, delta: 0.2 }));
+    out.extend(state_fixtures(
+        prefix,
+        tag,
+        Scheme::Kmh { k: 5, delta: 0.2 },
+    ));
     for p in [pb, pm, pk] {
         std::fs::remove_file(&p).ok();
     }
@@ -161,8 +180,7 @@ fn load(ext: &str, path: &std::path::Path) -> Result<(), sfa::matrix::MatrixErro
         }
         "sfmh" => read_signatures(path).map(|_| ()),
         "sfkm" => read_bottom_k(path).map(|_| ()),
-        "sfcp" => sfa::core::checkpoint::validate_file(path),
-        "sfsp" => sfa::core::spill::validate_file(path),
+        "sfcp" | "sfsp" | "sfmf" => sfa::core::durable::validate_file(path),
         other => unreachable!("unknown fixture {other}"),
     }
 }
